@@ -1,13 +1,11 @@
 """Resolvent splitting for common equilibrium and inclusion solutions on Hadamard manifolds."""
 
 from .manifold import (
-    DEFAULT_POLICY,
     Euclidean,
     GeometryError,
     Hyperboloid,
     Manifold,
     ManifoldPoint,
-    NumericPolicy,
     Product,
     SPD,
     TangentVector,

@@ -206,7 +206,6 @@ def subdifferential_field(
     vf = fields.VectorField(
         prog.manifold,
         prog.subgradient,
-        tag="subdifferential",
         name=f"subdiff[{prog.name}]",
         single_valued=False,
         known_zeros=prog.known_minimizers,
@@ -397,7 +396,6 @@ def saddle_field(
     vf = fields.VectorField(
         prod,
         evaluate,
-        tag="saddle",
         name=f"saddle[{sp.name}]",
         single_valued=False,
         known_zeros=zeros,
@@ -668,9 +666,6 @@ def _saddle_quadratic() -> splitting.ProblemInstance:
         reference_solution=center,
         name="saddle_quadratic",
     )
-
-
-fields.register_field_kind("subdiff", subdifferential_field)
 
 
 _LIBRARY: dict[str, LibraryEntry] = {

@@ -10,14 +10,17 @@ the regularized variational inequality
 a single-valued, firmly nonexpansive map whose fixed points are exactly
 the equilibrium points.
 
-Structured bifunctions reduce to vector-field resolvents:
+One datum picks the resolvent method: the bifunction's
+``gradient_field``.  When it is set, the resolvent is the vector-field
+resolvent of that field with step r.  The two constructors that set it
+are
 
 * ``convex_difference``: ``F(x,y) = g(y) - g(x)`` for geodesically
   convex g; the resolvent is the proximal map of ``r*g``.
 * ``field_induced``: ``F(x,y) = <V(x), log_x y>`` for a single-valued
   monotone V; the resolvent solves ``log_z x = r V(z)``.
 
-Unstructured (sampled) bifunctions are solved by proximal best-response
+Bifunctions without a field are solved by proximal best-response
 iteration with a geodesic gradient descent inner loop, and the output
 is certified against sampled directions.
 """
@@ -49,26 +52,28 @@ __all__ = [
     "field_induced",
     "generic_bifunction",
     "EquilibriumResolventConfig",
-    "eval_bifunction",
     "resolvent_T",
     "equilibrium_residual",
     "AssumptionReport",
     "check_assumptions",
-    "make_bifunction",
-    "register_bifunction_kind",
 ]
 
 
-class EquilibriumError(RuntimeError):
-    """Errors in bifunction evaluation or resolvent computation."""
+class EquilibriumError(fields.FieldError):
+    """Errors in bifunction evaluation or resolvent computation.
+
+    A subclass of :class:`fields.FieldError`, so a splitting run ends
+    with a recorded ``resolvent_failure`` instead of raising.
+    """
 
 
 class Bifunction:
-    """An equilibrium bifunction ``F: M x M -> R`` with structure hints.
+    """An equilibrium bifunction ``F: M x M -> R``.
 
-    ``tag`` is one of ``"convex_difference"``, ``"field_induced"``, or
-    ``"generic"``; the first two carry the vector field that makes their
-    resolvent computable in a single delegated solve.
+    ``gradient_field`` decides how the resolvent is computed.  When it is
+    set, the resolvent is that field's resolvent, a single delegated
+    solve.  When it is None, the resolvent runs the sampled best-response
+    solver, which needs ``direction_sampler`` or ``anchors``.
     """
 
     def __init__(
@@ -76,8 +81,7 @@ class Bifunction:
         manifold: Manifold,
         evaluator: Callable[[ManifoldPoint, ManifoldPoint], float],
         *,
-        tag: str = "generic",
-        name: str = "",
+        name: str = "generic",
         gradient_field: fields.VectorField | None = None,
         known_equilibria: Sequence[ManifoldPoint] = (),
         direction_sampler: Callable[[ManifoldPoint, np.random.Generator, float], list[ManifoldPoint]]
@@ -86,8 +90,7 @@ class Bifunction:
     ):
         self.manifold = manifold
         self._evaluator = evaluator
-        self.tag = tag
-        self.name = name or tag
+        self.name = name
         self.gradient_field = gradient_field
         self.known_equilibria = tuple(known_equilibria)
         self.direction_sampler = direction_sampler
@@ -103,12 +106,7 @@ class Bifunction:
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Bifunction({self.name!r}, tag={self.tag!r}, on {self.manifold.tag})"
-
-
-def eval_bifunction(bifun: Bifunction, x: ManifoldPoint, y: ManifoldPoint) -> float:
-    """Module-level alias of :meth:`Bifunction.eval`."""
-    return bifun.eval(x, y)
+        return f"Bifunction({self.name!r}, on {self.manifold.tag})"
 
 
 def convex_difference(
@@ -129,7 +127,6 @@ def convex_difference(
     return Bifunction(
         manifold,
         lambda x, y: objective(y) - objective(x),
-        tag="convex_difference",
         name=name,
         gradient_field=gradient_field,
         known_equilibria=equilibria,
@@ -151,7 +148,6 @@ def field_induced(
     return Bifunction(
         field.manifold,
         _eval,
-        tag="field_induced",
         name=name,
         gradient_field=field,
         known_equilibria=field.known_zeros,
@@ -177,7 +173,6 @@ def generic_bifunction(
     return Bifunction(
         manifold,
         evaluator,
-        tag="generic",
         name=name,
         direction_sampler=direction_sampler,
         anchors=anchors,
@@ -192,10 +187,6 @@ class EquilibriumResolventConfig:
     r: float = 1.0
     inner_tol: float = 1e-10
     inner_max_iter: int = 500
-    #: number of sampled certificate directions (generic tag only)
-    cert_directions: int = 64
-    #: geodesic radius of sampled certificate probes
-    cert_radius: float = 0.1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -234,16 +225,22 @@ def equilibrium_residual(
     return worst
 
 
+#: number of sampled certificate directions when no sampler is given
+_CERT_DIRECTIONS = 64
+#: geodesic radius of sampled certificate probes
+_CERT_RADIUS = 0.1
+
+
 def _certificate_probes(
     bifun: Bifunction, z: ManifoldPoint, cfg: EquilibriumResolventConfig
 ) -> list[ManifoldPoint]:
     probes = list(bifun.anchors)
     rng = np.random.default_rng(cfg.seed)
     if bifun.direction_sampler is not None:
-        probes.extend(bifun.direction_sampler(z, rng, cfg.cert_radius))
+        probes.extend(bifun.direction_sampler(z, rng, _CERT_RADIUS))
     else:
-        for _ in range(cfg.cert_directions):
-            v = z.manifold.random_tangent(rng, z, scale=cfg.cert_radius)
+        for _ in range(_CERT_DIRECTIONS):
+            v = z.manifold.random_tangent(rng, z, scale=_CERT_RADIUS)
             probes.append(exp_map(z, v))
     return probes
 
@@ -253,8 +250,9 @@ def resolvent_T(
 ) -> ManifoldPoint:
     """Resolvent of an equilibrium bifunction at x.
 
-    Structured tags delegate to the vector-field resolvent; the generic
-    tag runs proximal best-response iteration
+    A bifunction with a ``gradient_field`` delegates to that field's
+    resolvent with step r.  One without runs proximal best-response
+    iteration
 
         w_{k+1} = argmin_y  r * F(w_k, y) + d(y, x)^2 / 2
 
@@ -265,7 +263,7 @@ def resolvent_T(
     if x.manifold != bifun.manifold:
         raise GeometryError("query point is not on the bifunction's manifold")
 
-    if bifun.tag in ("convex_difference", "field_induced"):
+    if bifun.gradient_field is not None:
         field_cfg = fields.ResolventConfig(
             lam=cfg.r, inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter
         )
@@ -381,26 +379,3 @@ def check_assumptions(
     passed = diag <= diagonal_tol and mono <= monotone_tol and convexity <= convexity_tol
     return AssumptionReport(diag, mono, convexity, ("A3", "A5", "A6"), passed)
 
-
-# -- registry ---------------------------------------------------------------
-
-_BIFUNCTION_KINDS: dict[str, Callable[..., Bifunction]] = {}
-
-
-def register_bifunction_kind(name: str, constructor: Callable[..., Bifunction]) -> None:
-    _BIFUNCTION_KINDS[name] = constructor
-
-
-def make_bifunction(name: str, *args, **kwargs) -> Bifunction:
-    try:
-        ctor = _BIFUNCTION_KINDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown bifunction kind {name!r}; registered: {sorted(_BIFUNCTION_KINDS)}"
-        ) from None
-    return ctor(*args, **kwargs)
-
-
-register_bifunction_kind("convex_difference", convex_difference)
-register_bifunction_kind("field_induced", field_induced)
-register_bifunction_kind("generic", generic_bifunction)

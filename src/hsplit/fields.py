@@ -21,12 +21,13 @@ resolvent continuity in the step and the argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .manifold import (
+    BASE_MATCH_TOL,
     Euclidean,
     GeometryError,
     Manifold,
@@ -60,8 +61,6 @@ __all__ = [
     "firmly_nonexpansive_inequality",
     "ContinuityReport",
     "resolvent_continuity_probe",
-    "make_field",
-    "register_field_kind",
 ]
 
 MONOTONE_SLACK_TOL = 1e-9
@@ -87,6 +86,10 @@ class ResolventNonconvergence(FieldError):
 class VectorField:
     """A possibly multivalued assignment ``x -> A(x)`` of tangent vectors.
 
+    The type of a field is the one datum that picks its resolvent:
+    :class:`LinearField` and :class:`DistanceGradientField` are solved in
+    closed form, every other field by the generic inner solver.
+
     Parameters
     ----------
     manifold:
@@ -95,10 +98,6 @@ class VectorField:
         Callable mapping a point to an iterable of tangent vectors based
         at that point.  An empty iterable means the point is outside the
         field's domain.
-    tag:
-        Structure hint used to dispatch closed-form resolvents
-        (``"generic"``, ``"linear"``, ``"distance_gradient"``,
-        ``"subdifferential"``, ``"saddle"``).
     known_zeros:
         Optional points known to satisfy ``0 in A(z)``; used by
         fixed-point checks and problem registries.
@@ -109,15 +108,13 @@ class VectorField:
         manifold: Manifold,
         evaluator: Callable[[ManifoldPoint], Sequence[TangentVector]],
         *,
-        tag: str = "generic",
-        name: str = "",
+        name: str = "generic",
         single_valued: bool = False,
         known_zeros: Sequence[ManifoldPoint] = (),
     ):
         self.manifold = manifold
         self._evaluator = evaluator
-        self.tag = tag
-        self.name = name or tag
+        self.name = name
         self.single_valued = single_valued
         self.known_zeros = tuple(known_zeros)
 
@@ -128,12 +125,11 @@ class VectorField:
                 f"field on {self.manifold.tag} evaluated at point on {x.manifold.tag}"
             )
         values = tuple(self._evaluator(x))
-        tol = self.manifold.policy.base_match_tol
         for v in values:
             if not np.all(np.isfinite(v.components)):
                 raise FieldError(f"field {self.name} produced a non-finite value at {x!r}")
             if v.base.manifold != self.manifold or not np.allclose(
-                v.base.coords, x.coords, rtol=0.0, atol=tol
+                v.base.coords, x.coords, rtol=0.0, atol=BASE_MATCH_TOL
             ):
                 raise FieldError(f"field {self.name} returned a vector at the wrong base point")
         return values
@@ -148,7 +144,7 @@ class VectorField:
         return min(values, key=norm)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VectorField({self.name!r}, tag={self.tag!r}, on {self.manifold.tag})"
+        return f"VectorField({self.name!r}, on {self.manifold.tag})"
 
 
 class LinearField(VectorField):
@@ -165,15 +161,10 @@ class LinearField(VectorField):
         super().__init__(
             manifold,
             lambda x: (TangentVector(x, np.asarray(m @ x.coords)),),
-            tag="linear",
             name=name,
             single_valued=True,
             known_zeros=(zero,) if _nonsingular(m) else (),
         )
-
-    def symmetric_part_psd(self, tol: float = 1e-12) -> bool:
-        sym = (self.matrix + self.matrix.T) / 2.0
-        return bool(np.linalg.eigvalsh(sym)[0] >= -tol)
 
 
 def _nonsingular(m: np.ndarray) -> bool:
@@ -195,7 +186,6 @@ class DistanceGradientField(VectorField):
         super().__init__(
             anchor.manifold,
             lambda x: (self.weight * -log_map(x, self.anchor),),
-            tag="distance_gradient",
             name=name or "distance_gradient",
             single_valued=True,
             known_zeros=(anchor,),
@@ -216,7 +206,6 @@ class ResolventConfig:
     lam: float = 1.0
     inner_tol: float = 1e-10
     inner_max_iter: int = 500
-    damping: float = 0.5
 
     def __post_init__(self) -> None:
         if self.lam <= 0.0:
@@ -225,8 +214,10 @@ class ResolventConfig:
             raise ValueError("inner_tol must be positive")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+
+
+#: largest step of the damped fixed-point iteration
+_DAMPING = 0.5
 
 
 def resolvent_residual(
@@ -237,11 +228,7 @@ def resolvent_residual(
     Takes the best available selection from A(z), which coincides with
     the minimum-norm selection wherever the field is single-valued.
     """
-    values = field.evaluate(z)
-    if not values:
-        raise DomainError(f"field {field.name} is empty at {z!r}")
-    target = log_map(z, x)
-    return min(norm(target - lam * a) for a in values)
+    return norm(_residual_vector(field, lam, x, z))
 
 
 def _residual_vector(
@@ -263,10 +250,10 @@ def resolvent_with_residual(
 ) -> tuple[ManifoldPoint, float]:
     """Resolvent of a monotone field, plus the residual norm it achieved.
 
-    Structured tags are solved exactly:
+    The field's type picks the method.  Two types are solved exactly:
 
-    * ``linear``: dense solve of ``(I + lam M) z = x``;
-    * ``distance_gradient``: geodesic interpolation
+    * :class:`LinearField`: dense solve of ``(I + lam M) z = x``;
+    * :class:`DistanceGradientField`: geodesic interpolation
       ``z = gamma(x -> anchor; lam*w / (1 + lam*w))``.
 
     Everything else runs the damped fixed-point iteration
@@ -326,11 +313,7 @@ def _newton_resolvent_flat(
     dim = man.ambient_dim
 
     def defect(coords: np.ndarray) -> np.ndarray:
-        pt = man.point(coords)
-        values = field.evaluate(pt)
-        if not values:
-            raise DomainError(f"field {field.name} is empty at {pt!r}")
-        a = min(values, key=norm)
+        a = field.selection(man.point(coords))
         return coords - x.coords + cfg.lam * a.components
 
     z = np.array(z0.coords, dtype=float)
@@ -375,7 +358,7 @@ def _iterate_resolvent(
     rn = norm(r)
     # scale the first step by 1/(1+lam): near-optimal for unit-curvature
     # gradient fields, and the backtracking line below handles the rest
-    eta = cfg.damping / (1.0 + cfg.lam)
+    eta = _DAMPING / (1.0 + cfg.lam)
     for k in range(cfg.inner_max_iter):
         if rn <= cfg.inner_tol:
             return z, rn
@@ -395,7 +378,7 @@ def _iterate_resolvent(
                 f"resolvent of {field.name} stalled", last_residual=rn, iterations=k
             )
         z, r, rn = z_new, r_new, rn_new
-        eta = min(eta * 1.5, cfg.damping)
+        eta = min(eta * 1.5, _DAMPING)
     if rn <= cfg.inner_tol:
         return z, rn
     raise ResolventNonconvergence(
@@ -556,53 +539,13 @@ def resolvent_continuity_probe(
     """Check ``J_{lam_n}(x_n) -> J_lam(x)`` along explicit convergent inputs."""
     if len(lam_seq) != len(point_seq) or len(lam_seq) == 0:
         raise ValueError("lam_seq and point_seq must be equal-length and nonempty")
-    limit = resolvent(
-        field,
-        ResolventConfig(lam_limit, base_cfg.inner_tol, base_cfg.inner_max_iter, base_cfg.damping),
-        x_limit,
-    )
+    limit = resolvent(field, replace(base_cfg, lam=lam_limit), x_limit)
     gaps = np.array(
         [
-            dist(
-                resolvent(
-                    field,
-                    ResolventConfig(
-                        lam, base_cfg.inner_tol, base_cfg.inner_max_iter, base_cfg.damping
-                    ),
-                    x,
-                ),
-                limit,
-            )
+            dist(resolvent(field, replace(base_cfg, lam=lam), x), limit)
             for lam, x in zip(lam_seq, point_seq)
         ]
     )
     gaps.setflags(write=False)
     return ContinuityReport(gaps, float(gaps[-1]), bool(gaps[-1] <= tol))
 
-
-# -- registry ---------------------------------------------------------------
-
-_FIELD_KINDS: dict[str, Callable[..., VectorField]] = {}
-
-
-def register_field_kind(name: str, constructor: Callable[..., VectorField]) -> None:
-    """Register a named field constructor for config-driven assembly."""
-    _FIELD_KINDS[name] = constructor
-
-
-def make_field(name: str, *args, **kwargs) -> VectorField:
-    """Construct a registered field kind by name."""
-    try:
-        ctor = _FIELD_KINDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown field kind {name!r}; registered: {sorted(_FIELD_KINDS)}"
-        ) from None
-    return ctor(*args, **kwargs)
-
-
-register_field_kind("linear_psd", LinearField)
-register_field_kind(
-    "distance_gradient", lambda anchor, weight=1.0, **kw: DistanceGradientField(anchor, weight, **kw)
-)
-register_field_kind("anti_monotone", anti_monotone_field)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -33,8 +33,6 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
-    "NumericPolicy",
-    "DEFAULT_POLICY",
     "Manifold",
     "Euclidean",
     "Hyperboloid",
@@ -51,7 +49,6 @@ __all__ = [
     "geodesic_point",
     "zero_vector",
     "comparison_triangle",
-    "parse_manifold_tag",
 ]
 
 
@@ -59,45 +56,29 @@ class GeometryError(ValueError):
     """Invalid point/tangent data, mismatched manifolds, or non-finite input."""
 
 
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Tolerances for constraint enforcement and series cutovers.
-
-    The geometric identities themselves are exact; these knobs only fix
-    how much floating-point slack constraint checks allow and where the
-    stabilized series replace the naive formulas.
-    """
-
-    hyperboloid_constraint_tol: float = 1e-10
-    spd_symmetry_tol: float = 1e-12
-    base_match_tol: float = 1e-12
-    #: switch arcosh(1+e) to its sqrt expansion below this e
-    acosh_series_cut: float = 1e-7
-    #: switch sinh(t)/t to its Taylor series below this |t|
-    sinhc_series_cut: float = 1e-5
-    #: side length below which a comparison triangle is treated as degenerate
-    degenerate_side_tol: float = 1e-14
+# Tolerances for constraint checks and series cutovers.  The geometric
+# identities themselves are exact; these only fix how much floating-point
+# slack constraint checks allow and where the stabilized series replace
+# the naive formulas.
+HYPERBOLOID_CONSTRAINT_TOL = 1e-10
+SPD_SYMMETRY_TOL = 1e-12
+BASE_MATCH_TOL = 1e-12
+#: switch arcosh(1+e) to its sqrt expansion below this e
+ACOSH_SERIES_CUT = 1e-7
+#: switch sinh(t)/t to its Taylor series below this |t|
+SINHC_SERIES_CUT = 1e-5
+#: side length below which a comparison triangle is treated as degenerate
+DEGENERATE_SIDE_TOL = 1e-14
 
 
-DEFAULT_POLICY = NumericPolicy()
-
-
-def _stable_acosh1p(e: float, cut: float) -> float:
+def _stable_acosh1p(e: float) -> float:
     # arcosh(1 + e); the sqrt expansion avoids cancellation for e near 0
     if e <= 0.0:
         return 0.0
-    if e < cut:
+    if e < ACOSH_SERIES_CUT:
         return math.sqrt(2.0 * e) * (1.0 - e / 12.0 + 3.0 * e * e / 160.0)
     s = 1.0 + e
     return math.log(s + math.sqrt(s * s - 1.0))
-
-
-def _sinhc(t: float, cut: float) -> float:
-    # sinh(t)/t, continued through t = 0 by its Taylor series
-    if abs(t) < cut:
-        t2 = t * t
-        return 1.0 + t2 / 6.0 + t2 * t2 / 120.0
-    return math.sinh(t) / t
 
 
 if hasattr(math, "fma"):  # pragma: no cover - version dependent
@@ -184,7 +165,7 @@ def _check_same_manifold(x: ManifoldPoint, y: ManifoldPoint) -> None:
 
 def _check_same_base(u: TangentVector, v: TangentVector) -> None:
     _check_same_manifold(u.base, v.base)
-    tol = u.base.manifold.policy.base_match_tol
+    tol = BASE_MATCH_TOL
     if not np.allclose(u.base.coords, v.base.coords, rtol=0.0, atol=tol):
         raise GeometryError("tangent vectors attached to different base points")
 
@@ -196,8 +177,6 @@ class Manifold(ABC):
     the public methods perform validation, wrap values, and enforce the
     manifold constraints after each operation.
     """
-
-    policy: NumericPolicy
 
     # -- shape ---------------------------------------------------------
 
@@ -302,7 +281,7 @@ class Manifold(ABC):
         """Point reached at unit time along the geodesic leaving x with velocity v."""
         self._own_point(x)
         if v.base.manifold != self or not np.allclose(
-            v.base.coords, x.coords, rtol=0.0, atol=self.policy.base_match_tol
+            v.base.coords, x.coords, rtol=0.0, atol=BASE_MATCH_TOL
         ):
             raise GeometryError("tangent vector is not attached to the given base point")
         _require_finite(v.components, "tangent components")
@@ -399,7 +378,6 @@ class Euclidean(Manifold):
     """Flat space R^n with the dot product metric."""
 
     dim: int
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -464,7 +442,6 @@ class Hyperboloid(Manifold):
     """
 
     dim: int
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -520,7 +497,7 @@ class Hyperboloid(Manifold):
         # float64 coordinates at hyperbolic radius R cannot satisfy the
         # constraint better than ~eps * cosh(R)^2; allow that floor
         mass = float(c @ c) + 2.0 * c[0] * c[0]
-        tol = max(self.policy.hyperboloid_constraint_tol, 16.0 * 2.3e-16 * mass)
+        tol = max(HYPERBOLOID_CONSTRAINT_TOL, 16.0 * 2.3e-16 * mass)
         if abs(q + 1.0) > tol or c[0] <= 0.0:
             raise GeometryError(
                 f"not on the upper hyperboloid sheet: <x,x>_L = {q!r}, x0 = {c[0]!r}"
@@ -539,7 +516,7 @@ class Hyperboloid(Manifold):
     def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None:
         _require_finite(w, "tangent components")
         scale = max(1.0, float(np.max(np.abs(w))) * float(np.max(np.abs(x))) * x.size)
-        if abs(self.minkowski(x, w)) > self.policy.hyperboloid_constraint_tol * scale:
+        if abs(self.minkowski(x, w)) > HYPERBOLOID_CONSTRAINT_TOL * scale:
             raise GeometryError("tangent vector is not Minkowski-orthogonal to its base")
 
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -563,7 +540,7 @@ class Hyperboloid(Manifold):
             s = ld(1.0)
         else:
             n = np.sqrt(n2)
-            if n < self.policy.sinhc_series_cut:
+            if n < SINHC_SERIES_CUT:
                 t2 = n * n
                 s = 1.0 + t2 / 6.0 + t2 * t2 / 120.0
             else:
@@ -593,7 +570,7 @@ class Hyperboloid(Manifold):
         return max((e + correction) / scale, 0.0)
 
     def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
-        return _stable_acosh1p(self._chord_half(x, y), self.policy.acosh_series_cut)
+        return _stable_acosh1p(self._chord_half(x, y))
 
     def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         # tangential part of the chord is (y - x) - e*x, rescaled to
@@ -601,7 +578,7 @@ class Hyperboloid(Manifold):
         e = self._chord_half(x, y)
         if e <= 0.0:
             return np.zeros_like(x)
-        d = _stable_acosh1p(e, self.policy.acosh_series_cut)
+        d = _stable_acosh1p(e)
         t = (y - x) - e * x
         tn2 = self.minkowski(t, t)
         if tn2 <= 0.0:
@@ -625,7 +602,6 @@ class SPD(Manifold):
     """
 
     order: int
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -673,7 +649,7 @@ class SPD(Manifold):
     def _validate_point(self, c: np.ndarray) -> None:
         _require_finite(c, "point coordinates")
         m = self._mat(c)
-        if np.max(np.abs(m - m.T)) > self.policy.spd_symmetry_tol * max(
+        if np.max(np.abs(m - m.T)) > SPD_SYMMETRY_TOL * max(
             1.0, float(np.max(np.abs(m)))
         ):
             raise GeometryError("matrix is not symmetric")
@@ -690,7 +666,7 @@ class SPD(Manifold):
     def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None:
         _require_finite(w, "tangent components")
         m = self._mat(w)
-        if np.max(np.abs(m - m.T)) > self.policy.spd_symmetry_tol * max(
+        if np.max(np.abs(m - m.T)) > SPD_SYMMETRY_TOL * max(
             1.0, float(np.max(np.abs(m)))
         ):
             raise GeometryError("tangent matrix is not symmetric")
@@ -746,7 +722,6 @@ class Product(Manifold):
     """
 
     factors: tuple[Manifold, ...]
-    policy: NumericPolicy = field(default=DEFAULT_POLICY, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -921,7 +896,7 @@ def comparison_triangle(
         if not math.isfinite(l):
             raise GeometryError("non-finite side length in geodesic triangle")
 
-    tiny = m.policy.degenerate_side_tol
+    tiny = DEGENERATE_SIDE_TOL
     p1 = np.array([0.0, 0.0])
     p2 = np.array([l01, 0.0])
     if l01 <= tiny:
@@ -944,27 +919,3 @@ def comparison_triangle(
     planar.setflags(write=False)
     residuals.setflags(write=False)
     return GeodesicTriangleReport(pts, side_lengths, planar, residuals)
-
-
-def parse_manifold_tag(tag: str, policy: NumericPolicy = DEFAULT_POLICY) -> Manifold:
-    """Reconstruct a manifold instance from its serialization tag."""
-    tag = tag.strip()
-    if tag.startswith("euclidean:"):
-        return Euclidean(int(tag.split(":", 1)[1]), policy)
-    if tag.startswith("hyperboloid:"):
-        return Hyperboloid(int(tag.split(":", 1)[1]), policy)
-    if tag.startswith("spd:"):
-        return SPD(int(tag.split(":", 1)[1]), policy)
-    if tag.startswith("product:(") and tag.endswith(")"):
-        inner_tags, depth, start, parts = tag[len("product:(") : -1], 0, 0, []
-        for i, ch in enumerate(inner_tags):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner_tags[start:i])
-                start = i + 1
-        parts.append(inner_tags[start:])
-        return Product(tuple(parse_manifold_tag(p, policy) for p in parts), policy)
-    raise GeometryError(f"unrecognized manifold tag: {tag!r}")

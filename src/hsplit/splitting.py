@@ -524,14 +524,15 @@ def run(
     inner_tol: float = _INNER_TOL_BASE,
     inner_max_iter: int = 500,
     seed: int = 0,
-    validate: bool = True,
 ) -> IterationTrace:
     """Drive the splitting iteration until the stopping rule fires.
 
     The per-iteration resolvent tolerance tightens with the consecutive
     step distance so inner error cannot mask outer convergence.  A
     resolvent failure aborts the run and is recorded in the trace rather
-    than raised.
+    than raised.  The schedule is checked against its bounds up to
+    ``max(stop.max_iter, 1)`` first; a violation raises
+    :class:`ScheduleError`.
     """
     if algorithm == "auto":
         algorithm = choose_algorithm(problem)
@@ -540,10 +541,9 @@ def run(
     except KeyError:
         raise ValueError(f"unknown algorithm {algorithm!r}; options: auto, "
                          + ", ".join(_STEP_FUNCTIONS)) from None
-    if validate and stop.max_iter >= 1:
-        report = validate_schedule(schedule, stop.max_iter)
-        if not report.passed:
-            raise ScheduleError(str(report))
+    report = validate_schedule(schedule, max(stop.max_iter, 1))
+    if not report.passed:
+        raise ScheduleError(str(report))
 
     ref = problem.reference_solution
     records: list[IterationRecord] = []

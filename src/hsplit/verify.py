@@ -353,7 +353,7 @@ def equilibrium_suite(seed: int) -> list[PropertyResult]:
     worst_r_mono = -math.inf
     grid = (0.1, 0.5, 1.0, 2.0, 10.0)
     for bf in lib:
-        if bf.tag != "convex_difference":
+        if bf.gradient_field is None:
             continue
         for _ in range(5):
             x = bf.manifold.random_point(rng, 2.0)

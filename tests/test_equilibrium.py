@@ -10,17 +10,15 @@ shipped bifunction zoo.
 import numpy as np
 import pytest
 
-from hsplit import apps
+from hsplit import apps, fields
 from hsplit.equilibrium import (
     Bifunction,
     EquilibriumError,
     EquilibriumResolventConfig,
     check_assumptions,
     convex_difference,
-    eval_bifunction,
     field_induced,
     generic_bifunction,
-    make_bifunction,
     resolvent_T,
 )
 from hsplit.fields import (
@@ -65,8 +63,8 @@ def test_eval_convex_difference_of_squared_distance(rng):
     for _ in range(20):
         x, y = m.random_point(rng, 2.0), m.random_point(rng, 2.0)
         expected = 0.5 * dist(y, p) ** 2 - 0.5 * dist(x, p) ** 2
-        assert abs(eval_bifunction(bf, x, y) - expected) < 1e-12
-        assert eval_bifunction(bf, x, x) == 0.0
+        assert abs(bf.eval(x, y) - expected) < 1e-12
+        assert bf.eval(x, x) == 0.0
 
 
 def test_eval_field_induced_direct_value():
@@ -136,6 +134,29 @@ def test_resolvent_generic_sampled_matches_prox_oracle(rng):
     for x0 in (2.0, -1.5, 0.5):
         z = resolvent_T(bf, cfg, m.point([x0]))
         assert abs(z.coords[0] - x0 / 2.0) < 1e-6
+
+
+def test_resolvent_dispatches_on_gradient_field():
+    # a gradient field alone selects the field resolvent: no anchors, no
+    # sampler, and the oracle is never called
+    m = Euclidean(1)
+    calls = {"n": 0}
+
+    def oracle(x, y):
+        calls["n"] += 1
+        return 0.5 * float(y.coords @ y.coords) - 0.5 * float(x.coords @ x.coords)
+
+    field = LinearField(m, np.eye(1))
+    bf = Bifunction(m, oracle, gradient_field=field)
+    cfg = EquilibriumResolventConfig(r=2.0, inner_tol=1e-12)
+    for x0 in (3.0, -1.0):
+        x = m.point([x0])
+        z = resolvent_T(bf, cfg, x)
+        expected = fields.resolvent(
+            field, fields.ResolventConfig(lam=2.0, inner_tol=1e-12), x
+        )
+        assert np.array_equal(z.coords, expected.coords)
+    assert calls["n"] == 0
 
 
 def test_resolvent_generic_requires_directions():
@@ -228,7 +249,7 @@ def test_resolvent_full_domain(rng):
 def test_prox_step_monotone_in_r(rng):
     grid = (0.1, 0.5, 1.0, 2.0, 10.0)
     for bf in library_bifunctions():
-        if bf.tag != "convex_difference":
+        if bf.gradient_field is None:
             continue
         for _ in range(5):
             x = bf.manifold.random_point(rng, 2.0)
@@ -247,22 +268,8 @@ def test_prox_step_monotone_in_r(rng):
                 assert hi >= lo - 1e-9
 
 
-# -- registry -------------------------------------------------------------------------
-
-
-def test_bifunction_registry():
+def test_field_induced_rejects_multivalued_field():
     m = Euclidean(1)
-    bf = make_bifunction(
-        "convex_difference",
-        m,
-        lambda x: 0.5 * float(x.coords @ x.coords),
-        LinearField(m, np.eye(1)),
-    )
-    assert isinstance(bf, Bifunction) and bf.tag == "convex_difference"
-    fi = make_bifunction("field_induced", LinearField(m, np.eye(1)))
-    assert fi.tag == "field_induced"
-    with pytest.raises(KeyError):
-        make_bifunction("nosuch", m)
     with pytest.raises(EquilibriumError):
         field_induced(
             apps.subdifferential_field(

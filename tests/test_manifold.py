@@ -27,7 +27,6 @@ from hsplit.manifold import (
     inner,
     log_map,
     norm,
-    parse_manifold_tag,
     zero_vector,
 )
 
@@ -422,19 +421,6 @@ def test_descriptor_invariants():
         SPD(0)
     with pytest.raises(GeometryError):
         Product((Euclidean(2),))
-
-
-def test_manifold_tags_roundtrip():
-    instances = [
-        Euclidean(4),
-        Hyperboloid(3),
-        SPD(2),
-        Product((Euclidean(1), Product((Hyperboloid(2), SPD(2))))),
-    ]
-    for m in instances:
-        assert parse_manifold_tag(m.tag) == m
-    with pytest.raises(GeometryError):
-        parse_manifold_tag("sphere:2")
 
 
 # -- hypothesis properties -------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hsplit import apps
-from hsplit.equilibrium import convex_difference
+from hsplit.equilibrium import convex_difference, generic_bifunction
 from hsplit.fields import LinearField, VectorField
 from hsplit.manifold import Euclidean, TangentVector, dist
 from hsplit.splitting import (
@@ -239,6 +239,29 @@ def test_run_resolvent_failure_keeps_partial_trace():
     assert trace.termination_reason == "resolvent_failure"
     assert trace.error != ""
     assert trace.iterations == 0
+
+
+def test_run_oracle_failure_keeps_partial_trace():
+    # a raw oracle that turns non-finite partway through a run ends the
+    # run as a resolvent failure, with the iterations before it recorded
+    m = Euclidean(1)
+    calls = {"n": 0}
+
+    def oracle(x, y):
+        calls["n"] += 1
+        if calls["n"] > 2000:
+            return math.nan
+        return 0.5 * float(y.coords @ y.coords) - 0.5 * float(x.coords @ x.coords)
+
+    origin = m.base_point()
+    bf = generic_bifunction(m, oracle, name="failing", anchors=(origin,))
+    prob = ProblemInstance(m, m.point([2.0]), bifunction=bf)
+    trace = run(prob, stop=StoppingRule(max_iter=50, step_tol=1e-8))
+    assert trace.termination_reason == "resolvent_failure"
+    assert "non-finite" in trace.error
+    assert 0 < trace.iterations < 50
+    assert [rec.n for rec in trace.records] == list(range(trace.iterations))
+    assert trace.final_point is trace.records[-1].x_next
 
 
 def test_run_unknown_algorithm_rejected():
