@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tol", type=float)
     bench.add_argument("--max-iter", dest="max_iter", type=int)
     bench.add_argument("--seed", type=int)
-    bench.add_argument("--jobs", type=int, help="concurrent cells")
+    bench.add_argument("--jobs", type=int, help="threads; no speedup for pure-Python cells (GIL)")
     bench.add_argument("--out", help="output directory")
     bench.set_defaults(func=cmd_bench)
 

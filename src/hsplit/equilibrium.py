@@ -273,7 +273,7 @@ def resolvent_T(
         raise EquilibriumError(
             f"generic bifunction {bifun.name} needs a direction sampler or anchors"
         )
-    z = _best_response_resolvent(bifun, cfg, x)
+    z, rounds = _best_response_resolvent(bifun, cfg, x)
     residual = equilibrium_residual(
         bifun, z, _certificate_probes(bifun, z, cfg), x=x, r=cfg.r
     )
@@ -281,13 +281,13 @@ def resolvent_T(
         raise fields.ResolventNonconvergence(
             f"equilibrium resolvent of {bifun.name} failed its certificate",
             last_residual=-residual,
-            iterations=cfg.inner_max_iter,
+            iterations=rounds,
         )
     return z
 
 
-# best-response inner loop parameters: fixed modest gradient step with a
-# finite-difference fallback gradient for sampled bifunctions
+# best-response inner loop parameters: modest gradient step (at most
+# 1/(1+r)) with a finite-difference fallback gradient for sampled bifunctions
 _BR_GRAD_STEP = 0.1
 _BR_GRAD_ITERS = 200
 _FD_STEP = 1e-5
@@ -307,23 +307,27 @@ def _fd_partial_gradient(
 
 def _best_response_resolvent(
     bifun: Bifunction, cfg: EquilibriumResolventConfig, x: ManifoldPoint
-) -> ManifoldPoint:
+) -> tuple[ManifoldPoint, int]:
+    """The last best-response iterate and the number of rounds run."""
     man = bifun.manifold
+    # a fixed step above 2/L diverges; r*F(w, .) + d(., x)^2/2 has L >= 1 + r
+    # when F(w, .) is 1-strongly convex, as half-squared distances are
+    eta = min(_BR_GRAD_STEP, 1.0 / (1.0 + cfg.r))
     w = x
-    for _ in range(cfg.inner_max_iter):
+    for rounds in range(1, cfg.inner_max_iter + 1):
         y = w
         for _ in range(_BR_GRAD_ITERS):
             grad = cfg.r * _fd_partial_gradient(bifun, w, y) - log_map(y, x).components
-            step = man.tangent(y, -_BR_GRAD_STEP * grad, project=True)
+            step = man.tangent(y, -eta * grad, project=True)
             y_next = exp_map(y, step)
             if dist(y_next, y) <= 0.1 * cfg.inner_tol:
                 y = y_next
                 break
             y = y_next
         if dist(y, w) <= cfg.inner_tol:
-            return y
+            return y, rounds
         w = y
-    return w
+    return w, cfg.inner_max_iter
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .manifold import (
-    BASE_MATCH_TOL,
     Euclidean,
     GeometryError,
     Manifold,
     ManifoldPoint,
     TangentVector,
+    attached,
     dist,
     exp_map,
     geodesic_point,
@@ -128,9 +128,7 @@ class VectorField:
         for v in values:
             if not np.all(np.isfinite(v.components)):
                 raise FieldError(f"field {self.name} produced a non-finite value at {x!r}")
-            if v.base.manifold != self.manifold or not np.allclose(
-                v.base.coords, x.coords, rtol=0.0, atol=BASE_MATCH_TOL
-            ):
+            if not attached(v, x):
                 raise FieldError(f"field {self.name} returned a vector at the wrong base point")
         return values
 

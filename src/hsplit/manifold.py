@@ -41,6 +41,7 @@ __all__ = [
     "ManifoldPoint",
     "TangentVector",
     "GeodesicTriangleReport",
+    "attached",
     "exp_map",
     "log_map",
     "dist",
@@ -81,25 +82,17 @@ def _stable_acosh1p(e: float) -> float:
     return math.log(s + math.sqrt(s * s - 1.0))
 
 
-if hasattr(math, "fma"):  # pragma: no cover - version dependent
-
-    def _two_product(a: float, b: float) -> tuple[float, float]:
-        p = a * b
-        return p, math.fma(a, b, -p)
-
-else:
-
-    def _two_product(a: float, b: float) -> tuple[float, float]:
-        # Dekker's error-free product via 2^27+1 splitting
-        p = a * b
-        c = 134217729.0 * a
-        ah = c - (c - a)
-        al = a - ah
-        c = 134217729.0 * b
-        bh = c - (c - b)
-        bl = b - bh
-        err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        return p, err
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    # Dekker's error-free product via 2^27+1 splitting: p + err == a*b exactly
+    p = a * b
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, err
 
 
 def _as_coords(values) -> np.ndarray:
@@ -158,24 +151,33 @@ class TangentVector:
         return f"TangentVector({self.manifold.tag}, {np.array2string(self.components, precision=6)})"
 
 
+def attached(v: TangentVector, x: ManifoldPoint) -> bool:
+    """True when v is a tangent vector at x: same manifold, coordinates within ``BASE_MATCH_TOL``."""
+    return v.base is x or (
+        v.base.manifold == x.manifold
+        and np.allclose(v.base.coords, x.coords, rtol=0.0, atol=BASE_MATCH_TOL)
+    )
+
+
 def _check_same_manifold(x: ManifoldPoint, y: ManifoldPoint) -> None:
     if x.manifold != y.manifold:
         raise GeometryError(f"manifold mismatch: {x.manifold.tag} vs {y.manifold.tag}")
 
 
 def _check_same_base(u: TangentVector, v: TangentVector) -> None:
-    _check_same_manifold(u.base, v.base)
-    tol = BASE_MATCH_TOL
-    if not np.allclose(u.base.coords, v.base.coords, rtol=0.0, atol=tol):
+    if not attached(u, v.base):
+        _check_same_manifold(u.base, v.base)
         raise GeometryError("tangent vectors attached to different base points")
 
 
 class Manifold(ABC):
     """Common interface of the concrete Hadamard manifold instances.
 
-    Subclasses implement the raw coordinate kernels (prefixed ``_``);
-    the public methods perform validation, wrap values, and enforce the
-    manifold constraints after each operation.
+    Subclasses implement the raw coordinate kernels (prefixed ``_``),
+    which assume finite input.  Each check lives in one place:
+    :meth:`point` and :meth:`tangent` check finiteness and then the
+    constraints (``_validate_*``), :meth:`exp` the finiteness of its
+    vector, and :func:`attached` every base point.
     """
 
     # -- shape ---------------------------------------------------------
@@ -206,16 +208,10 @@ class Manifold(ABC):
     def _base_coords(self) -> np.ndarray: ...
 
     @abstractmethod
-    def _validate_point(self, c: np.ndarray) -> None: ...
-
-    @abstractmethod
     def _project_point(self, c: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
     def _project_tangent(self, x: np.ndarray, w: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None: ...
 
     @abstractmethod
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float: ...
@@ -233,6 +229,12 @@ class Manifold(ABC):
     def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
         """Ambient directions whose tangent projections span T_x."""
 
+    def _validate_point(self, c: np.ndarray) -> None:
+        """Raise GeometryError unless the finite coordinates c are a point."""
+
+    def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None:
+        """Raise GeometryError unless the finite components w are tangent at x."""
+
     # -- construction ----------------------------------------------------
 
     def point(self, coords, *, project: bool = False) -> ManifoldPoint:
@@ -249,7 +251,9 @@ class Manifold(ABC):
             )
         _require_finite(c, "point coordinates")
         if project:
+            # projecting can overflow, e.g. symmetrizing entries near the float maximum
             c = _as_coords(self._project_point(c))
+            _require_finite(c, "projected point coordinates")
         self._validate_point(c)
         return ManifoldPoint(self, c)
 
@@ -268,6 +272,7 @@ class Manifold(ABC):
         _require_finite(w, "tangent components")
         if project:
             w = _as_coords(self._project_tangent(base.coords, w))
+            _require_finite(w, "projected tangent components")
         self._validate_tangent(base.coords, w)
         return TangentVector(base, w)
 
@@ -280,9 +285,7 @@ class Manifold(ABC):
     def exp(self, x: ManifoldPoint, v: TangentVector) -> ManifoldPoint:
         """Point reached at unit time along the geodesic leaving x with velocity v."""
         self._own_point(x)
-        if v.base.manifold != self or not np.allclose(
-            v.base.coords, x.coords, rtol=0.0, atol=BASE_MATCH_TOL
-        ):
+        if not attached(v, x):
             raise GeometryError("tangent vector is not attached to the given base point")
         _require_finite(v.components, "tangent components")
         c = _as_coords(self._exp(x.coords, v.components))
@@ -402,17 +405,11 @@ class Euclidean(Manifold):
     def _base_coords(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def _validate_point(self, c: np.ndarray) -> None:
-        _require_finite(c, "point coordinates")
-
     def _project_point(self, c: np.ndarray) -> np.ndarray:
         return c
 
     def _project_tangent(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         return w
-
-    def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None:
-        _require_finite(w, "tangent components")
 
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         return float(u @ v)
@@ -492,7 +489,6 @@ class Hyperboloid(Manifold):
         return c
 
     def _validate_point(self, c: np.ndarray) -> None:
-        _require_finite(c, "point coordinates")
         q = self.minkowski_exact(c, c)
         # float64 coordinates at hyperbolic radius R cannot satisfy the
         # constraint better than ~eps * cosh(R)^2; allow that floor
@@ -514,7 +510,6 @@ class Hyperboloid(Manifold):
         return w + self.minkowski(x, w) * x
 
     def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None:
-        _require_finite(w, "tangent components")
         scale = max(1.0, float(np.max(np.abs(w))) * float(np.max(np.abs(x))) * x.size)
         if abs(self.minkowski(x, w)) > HYPERBOLOID_CONSTRAINT_TOL * scale:
             raise GeometryError("tangent vector is not Minkowski-orthogonal to its base")
@@ -647,7 +642,6 @@ class SPD(Manifold):
         return np.eye(self.order).ravel()
 
     def _validate_point(self, c: np.ndarray) -> None:
-        _require_finite(c, "point coordinates")
         m = self._mat(c)
         if np.max(np.abs(m - m.T)) > SPD_SYMMETRY_TOL * max(
             1.0, float(np.max(np.abs(m)))
@@ -664,7 +658,6 @@ class SPD(Manifold):
         return self._sym(self._mat(w)).ravel()
 
     def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None:
-        _require_finite(w, "tangent components")
         m = self._mat(w)
         if np.max(np.abs(m - m.T)) > SPD_SYMMETRY_TOL * max(
             1.0, float(np.max(np.abs(m)))

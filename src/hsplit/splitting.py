@@ -529,8 +529,8 @@ def run(
 
     The per-iteration resolvent tolerance tightens with the consecutive
     step distance so inner error cannot mask outer convergence.  A
-    resolvent failure aborts the run and is recorded in the trace rather
-    than raised.  The schedule is checked against its bounds up to
+    resolvent failure or a :class:`GeometryError` inside a step aborts
+    the run and is recorded in the trace rather than raised.  The schedule is checked against its bounds up to
     ``max(stop.max_iter, 1)`` first; a violation raises
     :class:`ScheduleError`.
     """
@@ -559,7 +559,7 @@ def run(
                 problem, schedule, n, x,
                 inner_tol=tol_n, inner_max_iter=inner_max_iter, seed=seed,
             )
-        except fields.FieldError as exc:
+        except (fields.FieldError, GeometryError) as exc:
             termination = "resolvent_failure"
             error = str(exc)
             break

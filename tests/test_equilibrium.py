@@ -159,6 +159,22 @@ def test_resolvent_dispatches_on_gradient_field():
     assert calls["n"] == 0
 
 
+def test_resolvent_certificate_failure_reports_rounds_run():
+    # the sign-flipped oracle has no regularized equilibrium to certify;
+    # best response stops after a few rounds, and the error says so
+    m = Euclidean(1)
+    bf = generic_bifunction(
+        m,
+        lambda x, y: 0.5 * float(x.coords @ x.coords) - 0.5 * float(y.coords @ y.coords),
+        name="sign_flipped",
+        anchors=(m.base_point(),),
+    )
+    cfg = EquilibriumResolventConfig(r=0.5)
+    with pytest.raises(fields.ResolventNonconvergence, match="failed its certificate") as info:
+        resolvent_T(bf, cfg, m.point([1.0]))
+    assert 0 < info.value.iterations < cfg.inner_max_iter
+
+
 def test_resolvent_generic_requires_directions():
     m = Euclidean(1)
     bf = generic_bifunction(m, lambda x, y: 0.0, name="no_sampler")

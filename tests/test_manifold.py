@@ -8,18 +8,21 @@ seeded random data.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from hsplit.fields import FieldError, VectorField
 from hsplit.manifold import (
     SPD,
     Euclidean,
     GeometryError,
     Hyperboloid,
     Product,
+    _two_product,
     comparison_triangle,
     dist,
     exp_map,
@@ -421,6 +424,86 @@ def test_descriptor_invariants():
         SPD(0)
     with pytest.raises(GeometryError):
         Product((Euclidean(2),))
+
+
+def test_vector_at_equal_coordinates_accepted(manifold, rng):
+    # a distinct point object with the same coordinates is the same base
+    x = manifold.random_point(rng, 1.0)
+    twin = manifold.point(x.coords)
+    assert twin is not x
+    u = manifold.random_tangent(rng, x, 0.5)
+    v = manifold.random_tangent(rng, twin, 0.5)
+    assert np.array_equal(exp_map(twin, u).coords, exp_map(x, u).coords)
+    assert inner(u, v) == inner(u, manifold.tangent(x, v.components))
+    assert np.array_equal((u + v).components, u.components + v.components)
+    assert np.array_equal((u - v).components, u.components - v.components)
+    assert VectorField(manifold, lambda p: (u,)).evaluate(twin) == (u,)
+
+
+def test_vector_at_nearby_point_rejected(manifold, rng):
+    x = manifold.random_point(rng, 1.0)
+    y = exp_map(x, manifold.random_tangent(rng, x, 1e-6))
+    u = manifold.random_tangent(rng, x, 0.5)
+    v = manifold.random_tangent(rng, y, 0.5)
+    with pytest.raises(GeometryError):
+        exp_map(y, u)
+    with pytest.raises(GeometryError):
+        inner(u, v)
+    with pytest.raises(GeometryError):
+        u + v
+    with pytest.raises(GeometryError):
+        u - v
+    with pytest.raises(FieldError):
+        VectorField(manifold, lambda p: (u,)).evaluate(y)
+
+
+@pytest.mark.parametrize("project", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_point_and_tangent_rejected(manifold, bad, project):
+    base = manifold.base_point()
+    c = base.coords.copy()
+    c[0] = bad
+    with pytest.raises(GeometryError, match="non-finite"):
+        manifold.point(c, project=project)
+    w = np.zeros(manifold.ambient_dim)
+    w[-1] = bad
+    with pytest.raises(GeometryError, match="non-finite"):
+        manifold.tangent(base, w, project=project)
+
+
+def test_projection_overflow_rejected():
+    # finite input whose symmetrization overflows to inf
+    m = SPD(2)
+    big = [1.7e308, 0.0, 0.0, 1.7e308]
+    with np.errstate(over="ignore"):
+        with pytest.raises(GeometryError, match="non-finite"):
+            m.point(big, project=True)
+        with pytest.raises(GeometryError, match="non-finite"):
+            m.tangent(m.base_point(), big, project=True)
+
+
+def test_two_product_is_error_free():
+    rng = np.random.default_rng(11)
+    signs = rng.choice([-1.0, 1.0], size=(5000, 2))
+    mags = 10.0 ** rng.uniform(-8.0, 8.0, size=(5000, 2))
+    for a, b in signs * mags:
+        p, err = _two_product(float(a), float(b))
+        assert p == a * b
+        assert Fraction(p) + Fraction(err) == Fraction(a) * Fraction(b)
+
+
+def test_minkowski_exact_is_correctly_rounded(rng):
+    m = Hyperboloid(3)
+
+    def exact(a, b):
+        terms = [Fraction(float(ai)) * Fraction(float(bi)) for ai, bi in zip(a, b)]
+        return float(sum(terms[1:]) - terms[0])
+
+    for _ in range(200):
+        x, y = m.random_point(rng, 8.0), m.random_point(rng, 8.0)
+        v = m.random_tangent(rng, x, 8.0 * rng.uniform())
+        for a, b in ((x.coords, x.coords), (x.coords, y.coords), (x.coords, v.components)):
+            assert m.minkowski_exact(a, b) == exact(a, b)
 
 
 # -- hypothesis properties -------------------------------------------------------------

@@ -14,8 +14,8 @@ import pytest
 
 from hsplit import apps
 from hsplit.equilibrium import convex_difference, generic_bifunction
-from hsplit.fields import LinearField, VectorField
-from hsplit.manifold import Euclidean, TangentVector, dist
+from hsplit.fields import DistanceGradientField, LinearField, VectorField
+from hsplit.manifold import Euclidean, Hyperboloid, TangentVector, dist, log_map
 from hsplit.splitting import (
     DEFAULT_SCHEDULE,
     ProblemInstance,
@@ -262,6 +262,40 @@ def test_run_oracle_failure_keeps_partial_trace():
     assert 0 < trace.iterations < 50
     assert [rec.n for rec in trace.records] == list(range(trace.iterations))
     assert trace.final_point is trace.records[-1].x_next
+
+
+def test_run_geometry_failure_keeps_trace():
+    # a field 1e6 times too steep overshoots, exp overflows and cannot
+    # project back onto the hyperboloid; the run ends with a trace
+    m = Hyperboloid(2)
+    a = m.base_point()
+    steep = VectorField(m, lambda x: (1e6 * -log_map(x, a),), name="steep")
+    prob = ProblemInstance(m, m.point([math.cosh(1.0), math.sinh(1.0), 0.0]), field=steep)
+    with np.errstate(all="ignore"):
+        trace = run(prob, stop=StoppingRule(max_iter=50))
+    assert trace.termination_reason == "resolvent_failure"
+    assert trace.error != ""
+    assert [rec.n for rec in trace.records] == list(range(trace.iterations))
+
+
+@pytest.mark.parametrize("manifold", [Euclidean(1), Hyperboloid(2)], ids=lambda m: m.tag)
+def test_run_large_r_generic_bifunction_converges(manifold):
+    # r = 20 is inside the schedule bounds; a fixed best-response step of
+    # 0.1 diverges once 0.1 * (1 + r) > 2
+    anchor = manifold.base_point()
+    x0 = manifold.exp(anchor, manifold.tangent_basis(anchor)[0])
+
+    def half_sq_dist_difference(x, y):
+        return 0.5 * dist(y, anchor) ** 2 - 0.5 * dist(x, anchor) ** 2
+
+    bf = generic_bifunction(manifold, half_sq_dist_difference, anchors=(anchor,))
+    prob = ProblemInstance(
+        manifold, x0, field=DistanceGradientField(anchor), bifunction=bf,
+        reference_solution=anchor,
+    )
+    trace = run(prob, StepSchedule.constant(r=20.0), StoppingRule(step_tol=1e-8))
+    assert trace.termination_reason == "step_tol"
+    assert trace.final_reference_distance() <= 1e-6
 
 
 def test_run_unknown_algorithm_rejected():
