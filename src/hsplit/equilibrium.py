@@ -20,9 +20,15 @@ are
 * ``field_induced``: ``F(x,y) = <V(x), log_x y>`` for a single-valued
   monotone V; the resolvent solves ``log_z x = r V(z)``.
 
-Bifunctions without a field are solved by proximal best-response
-iteration with a geodesic gradient descent inner loop, and the output
-is certified against sampled directions.
+A bifunction without a field goes through the same machinery.  When
+``y -> F(z, y)`` is geodesically convex, z solves the regularized
+inequality exactly when ``log_z x = r G(z)`` for the diagonal gradient
+``G(z) = grad_y F(z, y)|_{y=z}``: one direction is the subgradient
+inequality (``F(z, z) = 0``), the other first-order optimality at
+``y = z``.  So the resolvent is the field resolvent of G, read off the
+oracle by central differences, and one solver runs per resolvent.  Its
+output is then certified on sampled directions plus anchors, the guard
+against oracles that break the convexity assumption.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .manifold import (
     GeometryError,
     Manifold,
     ManifoldPoint,
-    dist,
+    TangentVector,
     exp_map,
     geodesic_point,
     inner,
@@ -67,13 +73,17 @@ class EquilibriumError(fields.FieldError):
     """
 
 
+#: central-difference step of the diagonal gradient of a raw oracle
+_FD_STEP = 1e-5
+
+
 class Bifunction:
     """An equilibrium bifunction ``F: M x M -> R``.
 
-    ``gradient_field`` decides how the resolvent is computed.  When it is
-    set, the resolvent is that field's resolvent, a single delegated
-    solve.  When it is None, the resolvent runs the sampled best-response
-    solver, which needs ``direction_sampler`` or ``anchors``.
+    The resolvent is the field resolvent of :attr:`resolvent_field`:
+    ``gradient_field`` when it is set, else the diagonal gradient of the
+    oracle.  Without ``gradient_field`` the result is certified on
+    sampled directions, so ``direction_sampler`` or ``anchors`` is needed.
     """
 
     def __init__(
@@ -104,6 +114,29 @@ class Bifunction:
         if not math.isfinite(value):
             raise EquilibriumError(f"bifunction {self.name} returned non-finite value")
         return value
+
+    @property
+    def resolvent_field(self) -> fields.VectorField:
+        """The field whose resolvent with step r is this bifunction's resolvent.
+
+        ``gradient_field`` when set, else the diagonal gradient
+        ``z -> grad_y F(z, y)|_{y=z}`` by central differences of the oracle.
+        """
+        if self.gradient_field is not None:
+            return self.gradient_field
+        return fields.VectorField(
+            self.manifold, self._diagonal_gradient, name=f"{self.name}_diagonal",
+            single_valued=True,
+        )
+
+    def _diagonal_gradient(self, z: ManifoldPoint) -> tuple[TangentVector]:
+        """Central differences of ``t -> F(z, exp_z(t b))`` per basis vector b."""
+        grad = np.zeros(z.manifold.ambient_dim)
+        for b in z.manifold.tangent_basis(z):
+            fwd = self.eval(z, exp_map(z, _FD_STEP * b))
+            bwd = self.eval(z, exp_map(z, -_FD_STEP * b))
+            grad += ((fwd - bwd) / (2.0 * _FD_STEP)) * b.components
+        return (z.manifold.tangent(z, grad, project=True),)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bifunction({self.name!r}, on {self.manifold.tag})"
@@ -250,30 +283,25 @@ def resolvent_T(
 ) -> ManifoldPoint:
     """Resolvent of an equilibrium bifunction at x.
 
-    A bifunction with a ``gradient_field`` delegates to that field's
-    resolvent with step r.  One without runs proximal best-response
-    iteration
-
-        w_{k+1} = argmin_y  r * F(w_k, y) + d(y, x)^2 / 2
-
-    (inner argmin by geodesic gradient descent) until consecutive
-    iterates are within ``inner_tol``, then certifies the regularized
-    variational inequality on sampled directions plus anchors.
+    One solve of the field resolvent of ``bifun.resolvent_field`` with
+    step r.  Without a ``gradient_field`` that field is the oracle's
+    diagonal gradient, and the result must then pass the regularized
+    variational inequality on sampled directions plus anchors; a failure
+    raises :class:`fields.ResolventNonconvergence` with the steps run.
     """
     if x.manifold != bifun.manifold:
         raise GeometryError("query point is not on the bifunction's manifold")
-
+    field_cfg = fields.ResolventConfig(
+        lam=cfg.r, inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter
+    )
     if bifun.gradient_field is not None:
-        field_cfg = fields.ResolventConfig(
-            lam=cfg.r, inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter
-        )
         return fields.resolvent(bifun.gradient_field, field_cfg, x)
 
     if bifun.direction_sampler is None and not bifun.anchors:
         raise EquilibriumError(
             f"generic bifunction {bifun.name} needs a direction sampler or anchors"
         )
-    z, rounds = _best_response_resolvent(bifun, cfg, x)
+    z, _, steps = fields._solve(bifun.resolvent_field, field_cfg, x)
     residual = equilibrium_residual(
         bifun, z, _certificate_probes(bifun, z, cfg), x=x, r=cfg.r
     )
@@ -281,53 +309,9 @@ def resolvent_T(
         raise fields.ResolventNonconvergence(
             f"equilibrium resolvent of {bifun.name} failed its certificate",
             last_residual=-residual,
-            iterations=rounds,
+            iterations=steps,
         )
     return z
-
-
-# best-response inner loop parameters: modest gradient step (at most
-# 1/(1+r)) with a finite-difference fallback gradient for sampled bifunctions
-_BR_GRAD_STEP = 0.1
-_BR_GRAD_ITERS = 200
-_FD_STEP = 1e-5
-
-
-def _fd_partial_gradient(
-    bifun: Bifunction, w: ManifoldPoint, y: ManifoldPoint
-) -> np.ndarray:
-    """Central finite differences of ``t -> F(w, exp_y(t b))`` per basis vector."""
-    grads = np.zeros(y.manifold.ambient_dim)
-    for b in y.manifold.tangent_basis(y):
-        fwd = bifun.eval(w, exp_map(y, _FD_STEP * b))
-        bwd = bifun.eval(w, exp_map(y, -_FD_STEP * b))
-        grads += ((fwd - bwd) / (2.0 * _FD_STEP)) * b.components
-    return grads
-
-
-def _best_response_resolvent(
-    bifun: Bifunction, cfg: EquilibriumResolventConfig, x: ManifoldPoint
-) -> tuple[ManifoldPoint, int]:
-    """The last best-response iterate and the number of rounds run."""
-    man = bifun.manifold
-    # a fixed step above 2/L diverges; r*F(w, .) + d(., x)^2/2 has L >= 1 + r
-    # when F(w, .) is 1-strongly convex, as half-squared distances are
-    eta = min(_BR_GRAD_STEP, 1.0 / (1.0 + cfg.r))
-    w = x
-    for rounds in range(1, cfg.inner_max_iter + 1):
-        y = w
-        for _ in range(_BR_GRAD_ITERS):
-            grad = cfg.r * _fd_partial_gradient(bifun, w, y) - log_map(y, x).components
-            step = man.tangent(y, -eta * grad, project=True)
-            y_next = exp_map(y, step)
-            if dist(y_next, y) <= 0.1 * cfg.inner_tol:
-                y = y_next
-                break
-            y = y_next
-        if dist(y, w) <= cfg.inner_tol:
-            return y, rounds
-        w = y
-    return w, cfg.inner_max_iter
 
 
 @dataclass(frozen=True)

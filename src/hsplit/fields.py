@@ -261,6 +261,14 @@ def resolvent_with_residual(
     with ``a`` the minimum-norm selection, backtracking on the residual
     norm, starting from ``initial`` (default: x).
     """
+    z, residual, _ = _solve(field, cfg, x, initial)
+    return z, residual
+
+
+def _solve(
+    field: VectorField, cfg: ResolventConfig, x: ManifoldPoint, initial: ManifoldPoint | None = None
+) -> tuple[ManifoldPoint, float, int]:
+    """:func:`resolvent_with_residual` plus the inner steps run (0 in closed form)."""
     if x.manifold != field.manifold:
         raise GeometryError("query point is not on the field's manifold")
 
@@ -269,12 +277,12 @@ def resolvent_with_residual(
             np.eye(field.manifold.ambient_dim) + cfg.lam * field.matrix, x.coords
         )
         z = field.manifold.point(z_coords)
-        return z, resolvent_residual(field, cfg.lam, x, z)
+        return z, resolvent_residual(field, cfg.lam, x, z), 0
 
     if isinstance(field, DistanceGradientField):
         t = cfg.lam * field.weight / (1.0 + cfg.lam * field.weight)
         z = geodesic_point(x, field.anchor, t)
-        return z, resolvent_residual(field, cfg.lam, x, z)
+        return z, resolvent_residual(field, cfg.lam, x, z), 0
 
     z0 = initial if initial is not None else x
     if field.manifold.is_flat and field.manifold.ambient_dim <= 32:
@@ -298,7 +306,7 @@ def resolvent(
 
 def _newton_resolvent_flat(
     field: VectorField, cfg: ResolventConfig, x: ManifoldPoint, z0: ManifoldPoint
-) -> tuple[ManifoldPoint, float] | None:
+) -> tuple[ManifoldPoint, float, int] | None:
     """Damped Newton on ``z - x + lam*a(z) = 0`` for flat charts.
 
     Shares its fixed points with the damped geometric iteration but
@@ -317,9 +325,9 @@ def _newton_resolvent_flat(
     z = np.array(z0.coords, dtype=float)
     fz = defect(z)
     rn = float(np.linalg.norm(fz))
-    for _ in range(cfg.inner_max_iter):
+    for k in range(cfg.inner_max_iter):
         if rn <= cfg.inner_tol:
-            return man.point(z), rn
+            return man.point(z), rn, k
         jac = np.empty((dim, dim))
         for i in range(dim):
             h = 1e-7 * max(1.0, abs(z[i]))
@@ -350,7 +358,7 @@ def _newton_resolvent_flat(
 
 def _iterate_resolvent(
     field: VectorField, cfg: ResolventConfig, x: ManifoldPoint, z0: ManifoldPoint
-) -> tuple[ManifoldPoint, float]:
+) -> tuple[ManifoldPoint, float, int]:
     z = z0
     r = _residual_vector(field, cfg.lam, x, z)
     rn = norm(r)
@@ -359,7 +367,7 @@ def _iterate_resolvent(
     eta = _DAMPING / (1.0 + cfg.lam)
     for k in range(cfg.inner_max_iter):
         if rn <= cfg.inner_tol:
-            return z, rn
+            return z, rn, k
         accepted = False
         for _ in range(60):
             z_new = exp_map(z, eta * r)
@@ -378,7 +386,7 @@ def _iterate_resolvent(
         z, r, rn = z_new, r_new, rn_new
         eta = min(eta * 1.5, _DAMPING)
     if rn <= cfg.inner_tol:
-        return z, rn
+        return z, rn, cfg.inner_max_iter
     raise ResolventNonconvergence(
         f"resolvent of {field.name} did not converge",
         last_residual=rn,

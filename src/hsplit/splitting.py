@@ -430,12 +430,7 @@ def _bifun_resolve(
         r=r, inner_tol=inner_tol, inner_max_iter=inner_max_iter, seed=seed
     )
     z = eq.resolvent_T(problem.bifunction, cfg, y)
-    bifun = problem.bifunction
-    if bifun.gradient_field is not None:
-        res = fields.resolvent_residual(bifun.gradient_field, r, y, z)
-    else:
-        res = inner_tol  # generic path certifies via sampled directions
-    return z, res
+    return z, fields.resolvent_residual(problem.bifunction.resolvent_field, r, y, z)
 
 
 def algorithm1_step(

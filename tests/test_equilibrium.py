@@ -121,8 +121,8 @@ def test_resolvent_fixes_equilibrium_points(rng):
 
 def test_resolvent_generic_sampled_matches_prox_oracle(rng):
     # same bifunction as the structural quadratic, but presented as a
-    # raw (x, y) oracle; the best-response path with finite-difference
-    # gradients is documented to ~1e-6 accuracy
+    # raw (x, y) oracle; the field resolvent of its finite-difference
+    # diagonal gradient is documented to ~1e-6 accuracy
     m = Euclidean(1)
     bf = generic_bifunction(
         m,
@@ -134,6 +134,23 @@ def test_resolvent_generic_sampled_matches_prox_oracle(rng):
     for x0 in (2.0, -1.5, 0.5):
         z = resolvent_T(bf, cfg, m.point([x0]))
         assert abs(z.coords[0] - x0 / 2.0) < 1e-6
+
+    # off flat charts the same diagonal resolvent runs the damped
+    # fixed-point iteration; the prox of r*d(., a)^2/2 is on the geodesic
+    h = Hyperboloid(2)
+    a = h.random_point(rng, 1.0)
+    bf = generic_bifunction(
+        h,
+        lambda x, y: 0.5 * dist(y, a) ** 2 - 0.5 * dist(x, a) ** 2,
+        name="sampled_half_sq_dist",
+        anchors=(a,),
+    )
+    for r in (0.1, 0.5, 1.0, 20.0):
+        cfg = EquilibriumResolventConfig(r=r, inner_tol=1e-8, inner_max_iter=200)
+        for _ in range(3):
+            x = h.random_point(rng, 2.0)
+            z = resolvent_T(bf, cfg, x)
+            assert dist(z, geodesic_point(x, a, r / (1.0 + r))) < 1e-6
 
 
 def test_resolvent_dispatches_on_gradient_field():
@@ -161,7 +178,8 @@ def test_resolvent_dispatches_on_gradient_field():
 
 def test_resolvent_certificate_failure_reports_rounds_run():
     # the sign-flipped oracle has no regularized equilibrium to certify;
-    # best response stops after a few rounds, and the error says so
+    # the diagonal field's resolvent stops after a few steps, and the
+    # error says so
     m = Euclidean(1)
     bf = generic_bifunction(
         m,

@@ -130,6 +130,20 @@ def test_exp_nonfinite_rejected():
         m.tangent(x, [np.inf, 0.0])
 
 
+def test_exp_overflowing_result_rejected():
+    # finite inputs whose endpoint overflows: x + v on the line, and the
+    # matrix exponential of 800*I on SPD (inf times zero gives NaN)
+    line = Euclidean(1)
+    x = line.point([1e308])
+    spd = SPD(2)
+    eye = spd.base_point()
+    with np.errstate(all="ignore"):
+        with pytest.raises(GeometryError, match="from exp"):
+            line.exp(x, line.tangent(x, [1e308]))
+        with pytest.raises(GeometryError, match="from exp"):
+            spd.exp(eye, spd.tangent(eye, 800.0 * np.eye(2).ravel()))
+
+
 # -- log_map --------------------------------------------------------------------
 
 

@@ -14,8 +14,8 @@ import pytest
 
 from hsplit import apps
 from hsplit.equilibrium import convex_difference, generic_bifunction
-from hsplit.fields import DistanceGradientField, LinearField, VectorField
-from hsplit.manifold import Euclidean, Hyperboloid, TangentVector, dist, log_map
+from hsplit.fields import DistanceGradientField, LinearField, VectorField, resolvent_residual
+from hsplit.manifold import SPD, Euclidean, Hyperboloid, TangentVector, dist, log_map
 from hsplit.splitting import (
     DEFAULT_SCHEDULE,
     ProblemInstance,
@@ -278,10 +278,30 @@ def test_run_geometry_failure_keeps_trace():
     assert [rec.n for rec in trace.records] == list(range(trace.iterations))
 
 
+def test_run_overflowing_exp_keeps_trace():
+    # the damped fixed-point step overflows exp: a field 1e6 times too
+    # steep on SPD(2), and a field with a singular Newton system at
+    # 1.5e308 on the line; each run ends with the exp error and a trace
+    spd = SPD(2)
+    a = spd.point(np.diag([2.0, 3.0]).ravel())
+    steep = VectorField(spd, lambda x: (1e6 * -log_map(x, a),), name="steep")
+    line = Euclidean(1)
+    anti = VectorField(line, lambda x: (TangentVector(x, -x.coords),), name="anti")
+    for prob in (
+        ProblemInstance(spd, spd.base_point(), field=steep),
+        ProblemInstance(line, line.point([1.5e308]), field=anti),
+    ):
+        with np.errstate(all="ignore"):
+            trace = run(prob, stop=StoppingRule(max_iter=50))
+        assert trace.termination_reason == "resolvent_failure"
+        assert "from exp" in trace.error
+        assert [rec.n for rec in trace.records] == list(range(trace.iterations))
+
+
 @pytest.mark.parametrize("manifold", [Euclidean(1), Hyperboloid(2)], ids=lambda m: m.tag)
 def test_run_large_r_generic_bifunction_converges(manifold):
-    # r = 20 is inside the schedule bounds; a fixed best-response step of
-    # 0.1 diverges once 0.1 * (1 + r) > 2
+    # r = 20 is inside the schedule bounds, so the raw oracle's resolvent
+    # must converge there as it does for small r
     anchor = manifold.base_point()
     x0 = manifold.exp(anchor, manifold.tangent_basis(anchor)[0])
 
@@ -296,6 +316,25 @@ def test_run_large_r_generic_bifunction_converges(manifold):
     trace = run(prob, StepSchedule.constant(r=20.0), StoppingRule(step_tol=1e-8))
     assert trace.termination_reason == "step_tol"
     assert trace.final_reference_distance() <= 1e-6
+
+
+@pytest.mark.parametrize("manifold", [Euclidean(2), Hyperboloid(2)], ids=lambda m: m.tag)
+def test_run_generic_bifunction_records_diagonal_residual(manifold):
+    # res_F of a raw oracle is the measured resolvent defect of its
+    # diagonal gradient field, not the inner tolerance it was asked for
+    anchor = manifold.base_point()
+    x0 = manifold.exp(anchor, manifold.tangent_basis(anchor)[0])
+    bf = generic_bifunction(
+        manifold,
+        lambda x, y: 0.5 * dist(y, anchor) ** 2 - 0.5 * dist(x, anchor) ** 2,
+        anchors=(anchor,),
+    )
+    prob = ProblemInstance(manifold, x0, bifunction=bf, reference_solution=anchor)
+    trace = run(prob, stop=StoppingRule(step_tol=1e-8))
+    assert trace.termination_reason == "step_tol"
+    for rec in trace.records:
+        expected = resolvent_residual(bf.resolvent_field, rec.r, rec.y, rec.z)
+        assert rec.res_bifun == expected
 
 
 def test_run_unknown_algorithm_rejected():
