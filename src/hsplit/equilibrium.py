@@ -28,11 +28,16 @@ inequality (``F(z, z) = 0``), the other first-order optimality at
 ``y = z``.  So the resolvent is the field resolvent of G, read off the
 oracle by central differences, and one solver runs per resolvent.  Its
 output is then certified on sampled directions plus anchors, the guard
-against oracles that break the convexity assumption.
+against oracles that break the convexity assumption.  A sampled probe
+``y = exp_z(v)`` carries its tangent v, so the certificate reads
+``<log_z x, v>`` without a logarithm and costs one oracle call per probe
+beyond one batched :meth:`~hsplit.manifold.Manifold.exp_sphere`.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -238,23 +243,27 @@ def equilibrium_residual(
     *,
     x: ManifoldPoint | None = None,
     r: float = 1.0,
+    sampled: Sequence[tuple[TangentVector, ManifoldPoint]] = (),
 ) -> float:
     """Worst violation of the (regularized) variational inequality at z.
 
     With ``x`` given, evaluates ``min_y F(z,y) - (1/r)<log_z x, log_z y>``
-    over the probe directions; without it, plain ``min_y F(z,y)``.
-    Nonnegative (up to solver tolerance) when z solves the respective
-    problem; only the probed directions are certified.
+    over the probe points y; without it, plain ``min_y F(z,y)``.
+    ``sampled`` adds probes as pairs ``(v, y)`` with ``y = exp_z(v)``,
+    whose term reads ``<log_z x, v>``: the tangent is carried, not
+    recovered by a logarithm.  Nonnegative (up to solver tolerance) when
+    z solves the respective problem; only the probed directions are
+    certified.
     """
+    if not probes and not sampled:
+        raise EquilibriumError("no probe directions supplied")
     worst = math.inf
     log_zx = log_map(z, x) if x is not None else None
-    for y in probes:
+    for v, y in itertools.chain(((None, y) for y in probes), sampled):
         val = bifun.eval(z, y)
         if log_zx is not None:
-            val -= inner(log_zx, log_map(z, y)) / r
+            val -= inner(log_zx, log_map(z, y) if v is None else v) / r
         worst = min(worst, val)
-    if not probes:
-        raise EquilibriumError("no probe directions supplied")
     return worst
 
 
@@ -264,18 +273,25 @@ _CERT_DIRECTIONS = 64
 _CERT_RADIUS = 0.1
 
 
+@functools.lru_cache(maxsize=32)
+def _certificate_normals(seed: int, ambient_dim: int) -> np.ndarray:
+    # the generator is reseeded on every certificate, so its draws never
+    # change; one block equals the old per-probe draws bit for bit
+    normals = np.random.default_rng(seed).standard_normal((_CERT_DIRECTIONS, ambient_dim))
+    normals.setflags(write=False)
+    return normals
+
+
 def _certificate_probes(
     bifun: Bifunction, z: ManifoldPoint, cfg: EquilibriumResolventConfig
-) -> list[ManifoldPoint]:
+) -> tuple[list[ManifoldPoint], list[tuple[TangentVector, ManifoldPoint]]]:
+    """Probe points (anchors, sampler output) and sampled ``(v, exp_z v)`` pairs."""
     probes = list(bifun.anchors)
-    rng = np.random.default_rng(cfg.seed)
     if bifun.direction_sampler is not None:
-        probes.extend(bifun.direction_sampler(z, rng, _CERT_RADIUS))
-    else:
-        for _ in range(_CERT_DIRECTIONS):
-            v = z.manifold.random_tangent(rng, z, scale=_CERT_RADIUS)
-            probes.append(exp_map(z, v))
-    return probes
+        rng = np.random.default_rng(cfg.seed)
+        return probes + list(bifun.direction_sampler(z, rng, _CERT_RADIUS)), []
+    normals = _certificate_normals(cfg.seed, z.manifold.ambient_dim)
+    return probes, z.manifold.exp_sphere(z, normals, _CERT_RADIUS)
 
 
 def resolvent_T(
@@ -302,9 +318,8 @@ def resolvent_T(
             f"generic bifunction {bifun.name} needs a direction sampler or anchors"
         )
     z, _, steps = fields._solve(bifun.resolvent_field, field_cfg, x)
-    residual = equilibrium_residual(
-        bifun, z, _certificate_probes(bifun, z, cfg), x=x, r=cfg.r
-    )
+    probes, sampled = _certificate_probes(bifun, z, cfg)
+    residual = equilibrium_residual(bifun, z, probes, x=x, r=cfg.r, sampled=sampled)
     if residual < -cfg.inner_tol:
         raise fields.ResolventNonconvergence(
             f"equilibrium resolvent of {bifun.name} failed its certificate",

@@ -32,6 +32,7 @@ from .manifold import (
     Manifold,
     ManifoldPoint,
     TangentVector,
+    _all_finite,
     attached,
     dist,
     exp_map,
@@ -126,7 +127,7 @@ class VectorField:
             )
         values = tuple(self._evaluator(x))
         for v in values:
-            if not np.all(np.isfinite(v.components)):
+            if not _all_finite(v.components):
                 raise FieldError(f"field {self.name} produced a non-finite value at {x!r}")
             if not attached(v, x):
                 raise FieldError(f"field {self.name} returned a vector at the wrong base point")

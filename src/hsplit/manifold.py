@@ -70,6 +70,8 @@ ACOSH_SERIES_CUT = 1e-7
 SINHC_SERIES_CUT = 1e-5
 #: side length below which a comparison triangle is treated as degenerate
 DEGENERATE_SIDE_TOL = 1e-14
+#: squared tangent norm below which a sampled direction counts as zero
+_MIN_SAMPLE_NORM2 = 1e-20
 
 
 def _stable_acosh1p(e: float) -> float:
@@ -95,15 +97,37 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
     return p, err
 
 
+def _sphere_scale(n2: np.ndarray, radius: float) -> np.ndarray:
+    # per-row factor taking squared norms n2 to `radius`, as random_tangent computes it
+    if not np.all(n2 > _MIN_SAMPLE_NORM2):
+        raise GeometryError("a sphere direction has no tangential part")
+    return radius / np.sqrt(n2)
+
+
+def _finite_sum(terms: list[float]) -> float:
+    # exactly rounded sum; products that overflowed leave inf or nan terms
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # an overflowing or inf - inf sum
+        total = math.nan
+    if not math.isfinite(total):
+        raise GeometryError("Minkowski form overflows the float range")
+    return total
+
+
 def _as_coords(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel().copy()
     arr.setflags(write=False)
     return arr
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
+def _all_finite(arr: np.ndarray) -> bool:
     # a Python loop over a few coordinates is ~10x faster than np.isfinite
-    if not all(map(math.isfinite, arr.ravel().tolist())):
+    return all(map(math.isfinite, arr.ravel().tolist()))
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    if not _all_finite(arr):
         raise GeometryError(f"non-finite {what}: {arr!r}")
 
 
@@ -113,6 +137,20 @@ class ManifoldPoint:
 
     manifold: "Manifold"
     coords: np.ndarray
+
+    @property
+    def self_product(self) -> float:
+        """Minkowski self-product ``<x,x>_L`` with error-free products.
+
+        Read by the Hyperboloid kernels.  A point is immutable, so the
+        value is computed once, on first use, and never goes stale.
+        """
+        # a plain memo: cached_property takes a lock on Python < 3.12
+        q = self.__dict__.get("_self_product")
+        if q is None:
+            q = Hyperboloid.minkowski_exact(self.coords, self.coords)
+            self.__dict__["_self_product"] = q
+        return q
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ManifoldPoint({self.manifold.tag}, {np.array2string(self.coords, precision=6)})"
@@ -161,7 +199,7 @@ def attached(v: TangentVector, x: ManifoldPoint) -> bool:
 
 
 def _check_same_manifold(x: ManifoldPoint, y: ManifoldPoint) -> None:
-    if x.manifold != y.manifold:
+    if x.manifold is not y.manifold and x.manifold != y.manifold:
         raise GeometryError(f"manifold mismatch: {x.manifold.tag} vs {y.manifold.tag}")
 
 
@@ -174,11 +212,15 @@ def _check_same_base(u: TangentVector, v: TangentVector) -> None:
 class Manifold(ABC):
     """Common interface of the concrete Hadamard manifold instances.
 
-    Subclasses implement the raw coordinate kernels (prefixed ``_``),
-    which assume finite input.  Each check lives in one place:
-    :meth:`point` and :meth:`tangent` check finiteness and then the
-    constraints (``_validate_*``), :meth:`exp` the finiteness of its
-    vector, and :func:`attached` every base point.
+    Subclasses implement the raw kernels (prefixed ``_``), which assume
+    finite input.  ``_validate_point``, ``_exp``, ``_log``, ``_dist`` and
+    ``_exp_sphere`` take points, so a space can read what a point caches
+    (:attr:`ManifoldPoint.self_product`); the others take coordinate
+    arrays.  Each check lives in one place: :meth:`point` and
+    :meth:`tangent` check finiteness and then the constraints
+    (``_validate_*``), :meth:`exp` the finiteness of its vector,
+    :meth:`exp`, :meth:`log`, :meth:`dist` and :meth:`exp_sphere` the
+    finiteness of their results, and :func:`attached` every base point.
     """
 
     # -- shape ---------------------------------------------------------
@@ -218,20 +260,29 @@ class Manifold(ABC):
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float: ...
 
     @abstractmethod
-    def _exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray: ...
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray: ...
 
     @abstractmethod
-    def _dist(self, x: np.ndarray, y: np.ndarray) -> float: ...
+    def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float: ...
+
+    def _exp_sphere(
+        self, x: ManifoldPoint, directions: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, Sequence[np.ndarray]]:
+        """Tangents and endpoint coordinates of :meth:`exp_sphere`, one row per direction."""
+        w = np.array([self._project_tangent(x.coords, d) for d in directions])
+        n2 = np.array([self._inner(x.coords, r, r) for r in w])
+        v = _sphere_scale(n2, radius)[:, None] * w
+        return v, [self._exp(x, r) for r in v]
 
     @abstractmethod
     def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
         """Ambient directions whose tangent projections span T_x."""
 
-    def _validate_point(self, c: np.ndarray) -> None:
-        """Raise GeometryError unless the finite coordinates c are a point."""
+    def _validate_point(self, x: ManifoldPoint) -> None:
+        """Raise GeometryError unless the finite coordinates of x are a point."""
 
     def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None:
         """Raise GeometryError unless the finite components w are tangent at x."""
@@ -255,8 +306,9 @@ class Manifold(ABC):
             # projecting can overflow, e.g. symmetrizing entries near the float maximum
             c = _as_coords(self._project_point(c))
             _require_finite(c, "projected point coordinates")
-        self._validate_point(c)
-        return ManifoldPoint(self, c)
+        x = ManifoldPoint(self, c)
+        self._validate_point(x)
+        return x
 
     def base_point(self) -> ManifoldPoint:
         """A canonical reference point (origin, apex, or identity)."""
@@ -289,9 +341,38 @@ class Manifold(ABC):
         if not attached(v, x):
             raise GeometryError("tangent vector is not attached to the given base point")
         _require_finite(v.components, "tangent components")
-        c = _as_coords(self._exp(x.coords, v.components))
+        c = _as_coords(self._exp(x, v.components))
         _require_finite(c, "point coordinates from exp")
         return ManifoldPoint(self, c)
+
+    def exp_sphere(
+        self, x: ManifoldPoint, directions: np.ndarray, radius: float
+    ) -> list[tuple[TangentVector, ManifoldPoint]]:
+        """Pairs ``(v, exp_x v)`` for tangents v of norm ``radius`` at x.
+
+        Each row of ``directions`` (ambient, shape ``(n, ambient_dim)``)
+        is projected to T_x and rescaled to Riemannian norm ``radius``.
+        Its pair equals, bit for bit, ``v = random_tangent(rng, x, radius)``
+        with a generator that draws that row, followed by ``exp(x, v)``;
+        one kernel call serves every row.
+        """
+        self._own_point(x)
+        directions = np.asarray(directions, dtype=float)
+        if directions.ndim != 2 or directions.shape[1] != self.ambient_dim:
+            raise GeometryError(
+                f"expected rows of {self.ambient_dim} coordinates for {self.tag}, "
+                f"got shape {directions.shape}"
+            )
+        _require_finite(directions, "directions")
+        if not 0.0 < radius < math.inf:
+            raise GeometryError(f"sphere radius {radius!r} is not positive and finite")
+        v, c = (np.array(a, dtype=float) for a in self._exp_sphere(x, directions, float(radius)))
+        _require_finite(v, "tangent components")
+        _require_finite(c, "point coordinates from exp")
+        v.setflags(write=False)
+        c.setflags(write=False)
+        # the rows are read-only views, as immutable as coordinates of their own
+        return [(TangentVector(x, vk), ManifoldPoint(self, ck)) for vk, ck in zip(v, c)]
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         """Initial velocity of the minimal geodesic from x to y; inverse of exp."""
@@ -299,14 +380,19 @@ class Manifold(ABC):
         _check_same_manifold(x, y)
         if np.array_equal(x.coords, y.coords):
             return self.zero_vector(x)
-        return TangentVector(x, _as_coords(self._log(x.coords, y.coords)))
+        w = _as_coords(self._log(x, y))
+        _require_finite(w, "tangent components from log")
+        return TangentVector(x, w)
 
     def dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         self._own_point(x)
         _check_same_manifold(x, y)
         if np.array_equal(x.coords, y.coords):
             return 0.0
-        return float(self._dist(x.coords, y.coords))
+        d = float(self._dist(x, y))
+        if not math.isfinite(d):
+            raise GeometryError(f"non-finite distance {d!r}")
+        return d
 
     def inner(self, u: TangentVector, v: TangentVector) -> float:
         _check_same_base(u, v)
@@ -359,7 +445,7 @@ class Manifold(ABC):
         for _ in range(16):
             w = self._project_tangent(x.coords, rng.standard_normal(self.ambient_dim))
             n2 = self._inner(x.coords, w, w)
-            if n2 > 1e-20:
+            if n2 > _MIN_SAMPLE_NORM2:
                 return TangentVector(x, _as_coords((scale / math.sqrt(n2)) * w))
         raise GeometryError("could not sample a nonzero tangent direction")
 
@@ -374,7 +460,7 @@ class Manifold(ABC):
     # -- internals ----------------------------------------------------------
 
     def _own_point(self, x: ManifoldPoint) -> None:
-        if x.manifold != self:
+        if x.manifold is not self and x.manifold != self:
             raise GeometryError(f"point on {x.manifold.tag} passed to {self.tag}")
 
 
@@ -416,14 +502,22 @@ class Euclidean(Manifold):
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         return float(u @ v)
 
-    def _exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return x + v
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
+        return x.coords + v
 
-    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return y - x
+    def _exp_sphere(
+        self, x: ManifoldPoint, directions: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # squared norms row by row: a batched dot rounds differently from `_inner`'s
+        n2 = np.array([self._inner(x.coords, d, d) for d in directions])
+        v = _sphere_scale(n2, radius)[:, None] * directions
+        return v, x.coords + v
 
-    def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.norm(y - x))
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
+        return y.coords - x.coords
+
+    def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
+        return float(np.linalg.norm(y.coords - x.coords))
 
     def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
         return [row for row in np.eye(self.dim)]
@@ -483,27 +577,39 @@ class Hyperboloid(Manifold):
         for ai, bi in zip(a[1:], b[1:]):
             p, err = _two_product(float(ai), float(bi))
             terms.extend((p, err))
-        return math.fsum(terms)
+        return _finite_sum(terms)
+
+    @staticmethod
+    def _minkowski_exact_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # minkowski_exact of each row pair: the same error-free products, and
+        # an exactly rounded sum, so every value is bit-identical to it
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, err = _two_product(a, b)
+        p[:, 0] = -p[:, 0]
+        err[:, 0] = -err[:, 0]
+        return np.array([_finite_sum(t) for t in np.hstack((p, err)).tolist()])
 
     def _base_coords(self) -> np.ndarray:
         c = np.zeros(self.dim + 1)
         c[0] = 1.0
         return c
 
-    def _validate_point(self, c: np.ndarray) -> None:
-        q = self.minkowski_exact(c, c)
+    def _validate_point(self, x: ManifoldPoint) -> None:
+        c = x.coords
+        q = x.self_product
         # float64 coordinates at hyperbolic radius R cannot satisfy the
-        # constraint better than ~eps * cosh(R)^2; allow that floor
+        # constraint better than ~eps * cosh(R)^2; allow that floor, but
+        # the self-product must stay timelike, as _project_point requires
         mass = float(c @ c) + 2.0 * c[0] * c[0]
         tol = max(HYPERBOLOID_CONSTRAINT_TOL, 16.0 * 2.3e-16 * mass)
-        if abs(q + 1.0) > tol or c[0] <= 0.0:
+        if not q < 0.0 or abs(q + 1.0) > tol or c[0] <= 0.0:
             raise GeometryError(
                 f"not on the upper hyperboloid sheet: <x,x>_L = {q!r}, x0 = {c[0]!r}"
             )
 
     def _project_point(self, c: np.ndarray) -> np.ndarray:
         q = self.minkowski_exact(c, c)
-        if q >= 0.0 or not np.isfinite(q):
+        if not q < 0.0:
             raise GeometryError("cannot project coordinates with non-timelike self-product")
         c = c / math.sqrt(-q)
         return c if c[0] > 0.0 else -c
@@ -528,8 +634,10 @@ class Hyperboloid(Manifold):
         # amplification ~ sinh(n)*cosh(n), so the three bilinear forms
         # use error-free products and the scalar stage runs in extended
         # precision, folding all corrections into the coefficient of x.
+        # _exp_sphere repeats these steps row-wise, bit for bit
         ld = np.longdouble
-        qx = ld(self.minkowski_exact(x, x))
+        qx = ld(x.self_product)
+        x = x.coords
         m = ld(self.minkowski_exact(x, v))
         n2 = ld(self.minkowski_exact(v, v)) - m * m / qx
         if n2 <= 0.0:
@@ -546,7 +654,41 @@ class Hyperboloid(Manifold):
         c = a * x.astype(ld) + s * v.astype(ld)
         return self._project_point(np.asarray(c, dtype=float))
 
-    def _chord_half(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _exp_sphere(
+        self, x: ManifoldPoint, directions: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # random_tangent, _exp and _project_point for all rows at once.
+        # Each Minkowski form is an exactly rounded sum of the same
+        # products as the scalar code's, so every row matches it bit for bit.
+        ld = np.longdouble
+        xc = x.coords
+        signed = xc.copy()
+        signed[0] = -signed[0]
+        xw = np.array([math.fsum(r) for r in (directions * signed).tolist()])
+        w = directions + xw[:, None] * xc
+        w2 = w * w
+        w2[:, 0] = -w2[:, 0]
+        v = _sphere_scale(np.array([math.fsum(r) for r in w2.tolist()]), radius)[:, None] * w
+
+        qx = ld(x.self_product)
+        rows = np.broadcast_to(xc, v.shape)
+        m = self._minkowski_exact_rows(rows, v).astype(ld)
+        n2 = self._minkowski_exact_rows(v, v).astype(ld) - m * m / qx
+        n = np.sqrt(np.maximum(n2, 0.0))
+        t2 = n * n
+        s = 1.0 + t2 / 6.0 + t2 * t2 / 120.0
+        big = n >= SINHC_SERIES_CUT
+        s[big] = np.sinh(n[big]) / n[big]
+        a = np.cosh(n) / np.sqrt(-qx) - s * m / qx
+        c = np.asarray(a[:, None] * xc.astype(ld) + s[:, None] * v.astype(ld), dtype=float)
+
+        q = self._minkowski_exact_rows(c, c)
+        if not np.all(q < 0.0):
+            raise GeometryError("cannot project coordinates with non-timelike self-product")
+        c = c / np.sqrt(-q)[:, None]
+        return v, np.where(c[:, :1] > 0.0, c, -c)
+
+    def _chord_half(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         # cosh(d) - 1 computed from the chord <y-x, y-x>_L = 2(cosh d - 1),
         # whose rounding stays relative to the separation, then corrected
         # for the off-shell radial factors of the stored endpoints:
@@ -554,10 +696,10 @@ class Hyperboloid(Manifold):
         # Stored coordinates at hyperbolic radius R are off shell by
         # ~eps*cosh(R)^2, which would otherwise bias e by the same
         # relative amount.
-        diff = y - x
+        diff = y.coords - x.coords
         e = 0.5 * self.minkowski(diff, diff)  # may be < 0 off shell
-        qx = self.minkowski_exact(x, x)
-        qy = self.minkowski_exact(y, y)
+        qx = x.self_product
+        qy = y.self_product
         scale = math.sqrt(qx * qy)
         u = -0.5 * (qx + 1.0)
         w = -0.5 * (qy + 1.0)
@@ -566,13 +708,14 @@ class Hyperboloid(Manifold):
         correction = (u - w) ** 2 / ((1.0 + u + w) + scale)
         return max((e + correction) / scale, 0.0)
 
-    def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         return _stable_acosh1p(self._chord_half(x, y))
 
-    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         # tangential part of the chord is (y - x) - e*x, rescaled to
         # length d; its residual timelike defect is resolved by exp
         e = self._chord_half(x, y)
+        x, y = x.coords, y.coords
         if e <= 0.0:
             return np.zeros_like(x)
         d = _stable_acosh1p(e)
@@ -643,8 +786,8 @@ class SPD(Manifold):
     def _base_coords(self) -> np.ndarray:
         return np.eye(self.order).ravel()
 
-    def _validate_point(self, c: np.ndarray) -> None:
-        m = self._mat(c)
+    def _validate_point(self, x: ManifoldPoint) -> None:
+        m = self._mat(x.coords)
         if np.max(np.abs(m - m.T)) > SPD_SYMMETRY_TOL * max(
             1.0, float(np.max(np.abs(m)))
         ):
@@ -672,21 +815,21 @@ class SPD(Manifold):
         b = np.linalg.solve(p, self._mat(v))
         return float(np.einsum("ij,ji->", a, b))
 
-    def _exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        sq, isq = self._sqrt_pair(self._mat(x))
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
+        sq, isq = self._sqrt_pair(self._mat(x.coords))
         s = self._sym(isq @ self._mat(v) @ isq)
         e = self._funcm(s, np.exp)
         return self._sym(sq @ e @ sq).ravel()
 
-    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        sq, isq = self._sqrt_pair(self._mat(x))
-        q = self._sym(isq @ self._mat(y) @ isq)
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
+        sq, isq = self._sqrt_pair(self._mat(x.coords))
+        q = self._sym(isq @ self._mat(y.coords) @ isq)
         lg = self._funcm(q, np.log)
         return self._sym(sq @ lg @ sq).ravel()
 
-    def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
-        _, isq = self._sqrt_pair(self._mat(x))
-        q = self._sym(isq @ self._mat(y) @ isq)
+    def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
+        _, isq = self._sqrt_pair(self._mat(x.coords))
+        q = self._sym(isq @ self._mat(y.coords) @ isq)
         w = np.linalg.eigvalsh(q)
         if w[0] <= 0.0:
             raise GeometryError("second argument is not positive definite")
@@ -750,9 +893,16 @@ class Product(Manifold):
     def split_point(self, x: ManifoldPoint) -> tuple[ManifoldPoint, ...]:
         """Factor points of a product point."""
         self._own_point(x)
-        return tuple(
-            ManifoldPoint(f, _as_coords(x.coords[s])) for f, s in zip(self.factors, self._slices)
-        )
+        return self._parts(x)
+
+    def _parts(self, x: ManifoldPoint) -> tuple[ManifoldPoint, ...]:
+        # factor points viewing the coordinates of x; x is immutable, so
+        # they are built once and kept with it
+        parts = x.__dict__.get("_parts")
+        if parts is None:
+            parts = tuple(ManifoldPoint(f, x.coords[s]) for f, s in zip(self.factors, self._slices))
+            x.__dict__["_parts"] = parts
+        return parts
 
     def join_points(self, parts: Sequence[ManifoldPoint]) -> ManifoldPoint:
         """Product point assembled from one point per factor."""
@@ -766,9 +916,9 @@ class Product(Manifold):
     def _base_coords(self) -> np.ndarray:
         return np.concatenate([f._base_coords() for f in self.factors])
 
-    def _validate_point(self, c: np.ndarray) -> None:
-        for f, s in zip(self.factors, self._slices):
-            f._validate_point(c[s])
+    def _validate_point(self, x: ManifoldPoint) -> None:
+        for f, p in zip(self.factors, self._parts(x)):
+            f._validate_point(p)
 
     def _project_point(self, c: np.ndarray) -> np.ndarray:
         return np.concatenate([f._project_point(c[s]) for f, s in zip(self.factors, self._slices)])
@@ -787,19 +937,19 @@ class Product(Manifold):
             f._inner(x[s], u[s], v[s]) for f, s in zip(self.factors, self._slices)
         )
 
-    def _exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         return np.concatenate(
-            [f._exp(x[s], v[s]) for f, s in zip(self.factors, self._slices)]
+            [f._exp(p, v[s]) for f, p, s in zip(self.factors, self._parts(x), self._slices)]
         )
 
-    def _log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         return np.concatenate(
-            [f._log(x[s], y[s]) for f, s in zip(self.factors, self._slices)]
+            [f._log(p, q) for f, p, q in zip(self.factors, self._parts(x), self._parts(y))]
         )
 
-    def _dist(self, x: np.ndarray, y: np.ndarray) -> float:
+    def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         return math.sqrt(
-            sum(f._dist(x[s], y[s]) ** 2 for f, s in zip(self.factors, self._slices))
+            sum(f._dist(p, q) ** 2 for f, p, q in zip(self.factors, self._parts(x), self._parts(y)))
         )
 
     def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:

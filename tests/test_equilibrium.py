@@ -18,6 +18,7 @@ from hsplit.equilibrium import (
     check_assumptions,
     convex_difference,
     field_induced,
+    _certificate_probes,
     generic_bifunction,
     resolvent_T,
 )
@@ -28,10 +29,12 @@ from hsplit.fields import (
     monotonicity_slack,
 )
 from hsplit.manifold import (
+    SPD,
     Euclidean,
     GeometryError,
     Hyperboloid,
     dist,
+    exp_map,
     geodesic_point,
 )
 
@@ -136,21 +139,46 @@ def test_resolvent_generic_sampled_matches_prox_oracle(rng):
         assert abs(z.coords[0] - x0 / 2.0) < 1e-6
 
     # off flat charts the same diagonal resolvent runs the damped
-    # fixed-point iteration; the prox of r*d(., a)^2/2 is on the geodesic
+    # fixed-point iteration; the prox of r*d(., a)^2/2 is on the geodesic.
+    # Its certificate makes one oracle call per sampled direction and anchor
     h = Hyperboloid(2)
     a = h.random_point(rng, 1.0)
-    bf = generic_bifunction(
-        h,
-        lambda x, y: 0.5 * dist(y, a) ** 2 - 0.5 * dist(x, a) ** 2,
-        name="sampled_half_sq_dist",
-        anchors=(a,),
-    )
+    calls = {"n": 0}
+
+    def oracle(x, y):
+        calls["n"] += 1
+        return 0.5 * dist(y, a) ** 2 - 0.5 * dist(x, a) ** 2
+
+    bf = generic_bifunction(h, oracle, name="sampled_half_sq_dist", anchors=(a,))
     for r in (0.1, 0.5, 1.0, 20.0):
         cfg = EquilibriumResolventConfig(r=r, inner_tol=1e-8, inner_max_iter=200)
+        field_cfg = fields.ResolventConfig(lam=r, inner_tol=1e-8, inner_max_iter=200)
         for _ in range(3):
             x = h.random_point(rng, 2.0)
+            calls["n"] = 0
+            fields.resolvent(bf.resolvent_field, field_cfg, x)
+            solve_calls = calls["n"]
+            calls["n"] = 0
             z = resolvent_T(bf, cfg, x)
             assert dist(z, geodesic_point(x, a, r / (1.0 + r))) < 1e-6
+            assert calls["n"] == solve_calls + 64 + len(bf.anchors)
+
+
+@pytest.mark.parametrize("m", [Euclidean(2), Hyperboloid(2), SPD(2)], ids=lambda m: m.tag)
+def test_certificate_probes_match_sequential_draws(m, rng):
+    # the cached block of normals and the batched exp reproduce the
+    # per-probe random_tangent + exp_map sequence of a reseeded generator
+    z = m.random_point(rng, 1.5)
+    for seed in (0, 7):
+        cfg = EquilibriumResolventConfig(seed=seed)
+        bf = generic_bifunction(m, lambda x, y: 0.0, anchors=(m.base_point(),))
+        probes, sampled = _certificate_probes(bf, z, cfg)
+        assert len(probes) == 1 and len(sampled) == 64
+        sequential = np.random.default_rng(seed)
+        for v, y in sampled:
+            u = m.random_tangent(sequential, z, scale=0.1)
+            assert np.array_equal(v.components, u.components)
+            assert np.array_equal(y.coords, exp_map(z, u).coords)
 
 
 def test_resolvent_dispatches_on_gradient_field():

@@ -144,6 +144,26 @@ def test_exp_overflowing_result_rejected():
             spd.exp(eye, spd.tangent(eye, 800.0 * np.eye(2).ravel()))
 
 
+def test_exp_sphere_matches_random_tangent_then_exp(manifold, rng):
+    # each row of the batch is the pair random_tangent + exp would give
+    # for a generator drawing that row, bit for bit; SPD and the product
+    # run the looping default, the others their array forms
+    for spread in (0.5, 3.0):
+        x = manifold.random_point(rng, spread)
+        seed = int(rng.integers(1 << 30))
+        directions = np.random.default_rng(seed).standard_normal((16, manifold.ambient_dim))
+        sequential = np.random.default_rng(seed)
+        for v, y in manifold.exp_sphere(x, directions, 0.1):
+            u = manifold.random_tangent(sequential, x, 0.1)
+            assert np.array_equal(v.components, u.components)
+            assert np.array_equal(y.coords, exp_map(x, u).coords)
+            assert v.base is x
+    with pytest.raises(GeometryError):
+        manifold.exp_sphere(x, np.zeros((1, manifold.ambient_dim + 1)), 0.1)
+    with pytest.raises(GeometryError):
+        manifold.exp_sphere(x, directions, 0.0)
+
+
 # -- log_map --------------------------------------------------------------------
 
 
@@ -172,6 +192,14 @@ def test_log_norm_equals_distance(manifold, rng):
         assert abs(norm(log_map(x, y)) - dist(x, y)) < 1e-9
 
 
+def test_log_overflowing_result_rejected():
+    # finite points whose difference overflows
+    line = Euclidean(1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(GeometryError, match="from log"):
+            line.log(line.point([-1e308]), line.point([1e308]))
+
+
 def test_log_manifold_mismatch_rejected():
     with pytest.raises(GeometryError):
         log_map(Euclidean(2).point([0, 0]), Euclidean(3).point([0, 0, 0]))
@@ -193,6 +221,13 @@ def test_dist_hyperboloid_unit():
     # arc length of the integrated geodesic agrees
     _, arc = rk4_hyperboloid_geodesic(x.coords, log_map(x, y).components)
     assert abs(arc - dist(x, y)) < 1e-6
+
+
+def test_dist_overflowing_result_rejected():
+    line = Euclidean(1)
+    with np.errstate(over="ignore"):
+        with pytest.raises(GeometryError, match="non-finite distance"):
+            line.dist(line.point([-1e308]), line.point([1e308]))
 
 
 def test_dist_spd_against_logm_oracle(rng):
@@ -417,6 +452,23 @@ def test_invalid_hyperboloid_point_rejected():
         m.point([-1.0, 0.0, 0.0])  # lower sheet
     projected = m.point([2.0, 0.3, -0.1], project=True)
     assert abs(m.minkowski(projected.coords, projected.coords) + 1.0) < 1e-12
+
+
+def test_hyperboloid_point_off_sheet_at_large_radius_rejected():
+    m = Hyperboloid(1)
+    # at radius 300 the rounded coordinates have self-product exactly 0,
+    # inside the precision floor of the constraint but not timelike
+    c = [math.cosh(300.0), math.sinh(300.0)]
+    assert m.minkowski_exact(np.array(c), np.array(c)) == 0.0
+    with pytest.raises(GeometryError, match="upper hyperboloid sheet"):
+        m.point(c)
+    # at radius 400 the self-product overflows
+    with pytest.raises(GeometryError, match="overflows"):
+        m.point([math.cosh(400.0), math.sinh(400.0)])
+    # an accepted point caches the self-product its check computed
+    x = m.point([math.cosh(3.0), math.sinh(3.0)])
+    assert x.self_product == m.minkowski_exact(x.coords, x.coords)
+    assert x.self_product is x.self_product
 
 
 def test_invalid_spd_point_rejected():
