@@ -64,6 +64,17 @@ __all__ = [
 ]
 
 _CHECK_SEED = 20240901
+# registration spot checks: geodesic radius of the random points, largest
+# accepted gap, convexity grid, and sample counts per kind of check
+_CHECK_SPREAD = 2.0
+_CHECK_TOL = 1e-9
+_CONVEXITY_GRID = 21
+_MONOTONE_PAIRS = 200
+_PROGRAM_SAMPLES = 40
+_SADDLE_SAMPLES = 30
+# stopping rule of the frechet_mean reference oracle
+_MEAN_GRAD_TOL = 1e-9
+_MEAN_MAX_ITER = 10_000
 
 
 class RegistrationError(ValueError):
@@ -145,32 +156,25 @@ def linear_program(manifold: Euclidean, c) -> ConvexProgram:
 
 
 def _spot_check_convexity(
-    value: Callable[[ManifoldPoint], float],
-    x: ManifoldPoint,
-    y: ManifoldPoint,
-    *,
-    grid: int = 21,
-    tol: float = 1e-9,
-    sign: float = 1.0,
+    value: Callable[[ManifoldPoint], float], x: ManifoldPoint, y: ManifoldPoint
 ) -> tuple[float, float] | None:
     """Return (t, violation) of the worst convexity gap along [x, y], if any."""
-    f0, f1 = sign * value(x), sign * value(y)
+    f0, f1 = value(x), value(y)
     worst = None
-    for t in np.linspace(0.0, 1.0, grid)[1:-1]:
-        ft = sign * value(geodesic_point(x, y, float(t)))
+    for t in np.linspace(0.0, 1.0, _CONVEXITY_GRID)[1:-1]:
+        ft = value(geodesic_point(x, y, float(t)))
         gap = ft - ((1.0 - t) * f0 + t * f1)
-        if gap > tol and (worst is None or gap > worst[1]):
+        if gap > _CHECK_TOL and (worst is None or gap > worst[1]):
             worst = (float(t), float(gap))
     return worst
 
 
-def _validate_program(prog: ConvexProgram, rng: np.random.Generator, *,
-                      n_samples: int = 40, spread: float = 2.0, tol: float = 1e-9) -> None:
+def _validate_program(prog: ConvexProgram, rng: np.random.Generator) -> None:
     man = prog.manifold
-    for _ in range(n_samples):
-        x = man.random_point(rng, spread)
-        y = man.random_point(rng, spread)
-        bad = _spot_check_convexity(prog.objective, x, y, tol=tol)
+    for _ in range(_PROGRAM_SAMPLES):
+        x = man.random_point(rng, _CHECK_SPREAD)
+        y = man.random_point(rng, _CHECK_SPREAD)
+        bad = _spot_check_convexity(prog.objective, x, y)
         if bad is not None:
             raise RegistrationError(
                 f"objective of {prog.name} not geodesically convex: gap {bad[1]:.3e} at t={bad[0]}",
@@ -178,7 +182,7 @@ def _validate_program(prog: ConvexProgram, rng: np.random.Generator, *,
             )
         for s in prog.subgradient(x):
             gap = prog.objective(x) + inner(s, log_map(x, y)) - prog.objective(y)
-            if gap > tol:
+            if gap > _CHECK_TOL:
                 raise RegistrationError(
                     f"subgradient inequality of {prog.name} violated by {gap:.3e}",
                     witness=(x, y, s),
@@ -190,8 +194,6 @@ def subdifferential_field(
     *,
     check: bool = True,
     rng: np.random.Generator | None = None,
-    n_monotone_pairs: int = 200,
-    spread: float = 2.0,
 ) -> fields.VectorField:
     """Subdifferential of a convex program as a monotone vector field.
 
@@ -200,11 +202,12 @@ def subdifferential_field(
     on any violation.  The zeros of the returned field are exactly the
     minimizers of the objective.
     """
+    man = prog.manifold
     rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
     if check:
         _validate_program(prog, rng)
     vf = fields.VectorField(
-        prog.manifold,
+        man,
         prog.subgradient,
         name=f"subdiff[{prog.name}]",
         single_valued=False,
@@ -212,8 +215,8 @@ def subdifferential_field(
     )
     if check:
         pairs = [
-            (prog.manifold.random_point(rng, spread), prog.manifold.random_point(rng, spread))
-            for _ in range(n_monotone_pairs)
+            (man.random_point(rng, _CHECK_SPREAD), man.random_point(rng, _CHECK_SPREAD))
+            for _ in range(_MONOTONE_PAIRS)
         ]
         report = fields.check_monotone(vf, pairs)
         if not report.passed:
@@ -267,16 +270,12 @@ def solve_minimization(
 def frechet_mean(
     anchors: Sequence[ManifoldPoint],
     weights: Sequence[float] | None = None,
-    *,
-    grad_tol: float = 1e-9,
-    max_iter: int = 10_000,
 ) -> ManifoldPoint:
     """Weighted mean by geodesic gradient descent with Armijo line search.
 
     Independent of the splitting machinery; serves as the reference
     oracle for mean problems.  Terminates when the Riemannian gradient
-    norm of the weighted squared-distance objective drops below
-    ``grad_tol``.
+    norm of the weighted squared-distance objective drops below 1e-9.
     """
     anchors = tuple(anchors)
     w = np.full(len(anchors), 1.0 / len(anchors)) if weights is None else np.asarray(
@@ -296,10 +295,10 @@ def frechet_mean(
 
     x = anchors[0]
     fx = value(x)
-    for _ in range(max_iter):
+    for _ in range(_MEAN_MAX_ITER):
         g = gradient(x)
         gn = norm(g)
-        if gn <= grad_tol:
+        if gn <= _MEAN_GRAD_TOL:
             return x
         t = 1.0
         while t > 1e-16:
@@ -311,7 +310,7 @@ def frechet_mean(
             t *= 0.5
         else:
             return x  # no further progress possible at float precision
-    raise RuntimeError(f"mean computation did not reach gradient norm {grad_tol:.1e}")
+    raise RuntimeError(f"mean computation did not reach gradient norm {_MEAN_GRAD_TOL:.1e}")
 
 
 # -- saddle problems ----------------------------------------------------------
@@ -340,20 +339,19 @@ class SaddleProblem:
         return Product((self.m1, self.m2))
 
 
-def _validate_saddle(sp: SaddleProblem, rng: np.random.Generator, *,
-                     n_samples: int = 30, spread: float = 2.0, tol: float = 1e-9) -> None:
-    for _ in range(n_samples):
-        x = sp.m1.random_point(rng, spread)
-        y1, y2 = sp.m2.random_point(rng, spread), sp.m2.random_point(rng, spread)
-        bad = _spot_check_convexity(lambda q: sp.h(x, q), y1, y2, tol=tol)
+def _validate_saddle(sp: SaddleProblem, rng: np.random.Generator) -> None:
+    for _ in range(_SADDLE_SAMPLES):
+        x = sp.m1.random_point(rng, _CHECK_SPREAD)
+        y1, y2 = sp.m2.random_point(rng, _CHECK_SPREAD), sp.m2.random_point(rng, _CHECK_SPREAD)
+        bad = _spot_check_convexity(lambda q: sp.h(x, q), y1, y2)
         if bad is not None:
             raise RegistrationError(
                 f"{sp.name}: H(x, .) not geodesically convex (gap {bad[1]:.3e})",
                 witness=(x, y1, y2, bad),
             )
-        x1, x2 = sp.m1.random_point(rng, spread), sp.m1.random_point(rng, spread)
-        y = sp.m2.random_point(rng, spread)
-        bad = _spot_check_convexity(lambda q: -sp.h(q, y), x1, x2, tol=tol)
+        x1, x2 = sp.m1.random_point(rng, _CHECK_SPREAD), sp.m1.random_point(rng, _CHECK_SPREAD)
+        y = sp.m2.random_point(rng, _CHECK_SPREAD)
+        bad = _spot_check_convexity(lambda q: -sp.h(q, y), x1, x2)
         if bad is not None:
             raise RegistrationError(
                 f"{sp.name}: H(., y) not geodesically concave (gap {bad[1]:.3e})",
@@ -366,8 +364,6 @@ def saddle_field(
     *,
     check: bool = True,
     rng: np.random.Generator | None = None,
-    n_monotone_pairs: int = 200,
-    spread: float = 2.0,
 ) -> fields.VectorField:
     """The monotone product field whose zeros are the saddle points of H.
 
@@ -402,8 +398,8 @@ def saddle_field(
     )
     if check:
         pairs = [
-            (prod.random_point(rng, spread), prod.random_point(rng, spread))
-            for _ in range(n_monotone_pairs)
+            (prod.random_point(rng, _CHECK_SPREAD), prod.random_point(rng, _CHECK_SPREAD))
+            for _ in range(_MONOTONE_PAIRS)
         ]
         report = fields.check_monotone(vf, pairs)
         if not report.passed:
@@ -453,7 +449,6 @@ def saddle_inequality_probe(
     y_tilde: ManifoldPoint,
     *,
     n_probes: int = 100,
-    spread: float = 2.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Worst violations of the two saddle inequalities at a candidate point.
@@ -466,8 +461,8 @@ def saddle_inequality_probe(
     left = -math.inf
     right = -math.inf
     for _ in range(n_probes):
-        x = sp.m1.random_point(rng, spread)
-        y = sp.m2.random_point(rng, spread)
+        x = sp.m1.random_point(rng, _CHECK_SPREAD)
+        y = sp.m2.random_point(rng, _CHECK_SPREAD)
         left = max(left, sp.h(x, y_tilde) - h_at)
         right = max(right, h_at - sp.h(x_tilde, y))
     return left, right

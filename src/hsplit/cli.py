@@ -152,7 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             algorithm=values.get("algorithm", "auto"),
             seed=_int(values, "seed", 0),
         )
-    except (splitting.ScheduleError, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, ScheduleError and refused settings
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = _out_dir(args, values)
@@ -226,7 +226,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         seed = _int(values, "seed", 0)
         jobs = max(1, _int(values, "jobs", 1))
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and a refused stopping rule
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = _out_dir(args, values)

@@ -27,11 +27,13 @@ inequality exactly when ``log_z x = r G(z)`` for the diagonal gradient
 inequality (``F(z, z) = 0``), the other first-order optimality at
 ``y = z``.  So the resolvent is the field resolvent of G, read off the
 oracle by central differences, and one solver runs per resolvent.  Its
-output is then certified on sampled directions plus anchors, the guard
-against oracles that break the convexity assumption.  A sampled probe
-``y = exp_z(v)`` carries its tangent v, so the certificate reads
-``<log_z x, v>`` without a logarithm and costs one oracle call per probe
-beyond one batched :meth:`~hsplit.manifold.Manifold.exp_sphere`.
+output is then certified on one probe set, the guard against oracles
+that break the convexity assumption: the bifunction's anchors plus 64
+probes sampled at radius 0.1.  A sampled probe ``y = exp_z(v)`` carries
+its tangent v, so the certificate reads ``<log_z x, v>`` without a
+logarithm and costs one oracle call per probe beyond one batched
+:meth:`~hsplit.manifold.Manifold.exp_sphere`.  Such a bifunction needs
+at least one anchor.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ class Bifunction:
 
     The resolvent is the field resolvent of :attr:`resolvent_field`:
     ``gradient_field`` when it is set, else the diagonal gradient of the
-    oracle.  Without ``gradient_field`` the result is certified on
-    sampled directions, so ``direction_sampler`` or ``anchors`` is needed.
+    oracle.  Without ``gradient_field`` the result is certified on the
+    ``anchors`` plus 64 sampled probes, so at least one anchor is needed.
     """
 
     def __init__(
@@ -99,8 +101,6 @@ class Bifunction:
         name: str = "generic",
         gradient_field: fields.VectorField | None = None,
         known_equilibria: Sequence[ManifoldPoint] = (),
-        direction_sampler: Callable[[ManifoldPoint, np.random.Generator, float], list[ManifoldPoint]]
-        | None = None,
         anchors: Sequence[ManifoldPoint] = (),
     ):
         self.manifold = manifold
@@ -108,7 +108,6 @@ class Bifunction:
         self.name = name
         self.gradient_field = gradient_field
         self.known_equilibria = tuple(known_equilibria)
-        self.direction_sampler = direction_sampler
         self.anchors = tuple(anchors)
 
     def eval(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
@@ -168,7 +167,6 @@ def convex_difference(
         name=name,
         gradient_field=gradient_field,
         known_equilibria=equilibria,
-        anchors=equilibria,
     )
 
 
@@ -189,7 +187,6 @@ def field_induced(
         name=name,
         gradient_field=field,
         known_equilibria=field.known_zeros,
-        anchors=field.known_zeros,
     )
 
 
@@ -198,21 +195,19 @@ def generic_bifunction(
     evaluator: Callable[[ManifoldPoint, ManifoldPoint], float],
     *,
     name: str = "generic",
-    direction_sampler=None,
     anchors: Sequence[ManifoldPoint] = (),
     known_equilibria: Sequence[ManifoldPoint] = (),
 ) -> Bifunction:
     """Wrap a raw ``(x, y) -> R`` oracle with no structure information.
 
-    The resolvent of a generic bifunction certifies its output against
-    sampled directions, so either ``direction_sampler`` or ``anchors``
-    must be supplied.
+    The resolvent of a generic bifunction certifies its output on the
+    ``anchors`` plus 64 sampled probes, so at least one anchor must be
+    supplied.
     """
     return Bifunction(
         manifold,
         evaluator,
         name=name,
-        direction_sampler=direction_sampler,
         anchors=anchors,
         known_equilibria=known_equilibria,
     )
@@ -228,9 +223,9 @@ class EquilibriumResolventConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise ValueError("resolvent parameter r must be positive")
-        if self.inner_tol <= 0.0:
+        if not 0.0 < self.r < math.inf:
+            raise ValueError("resolvent parameter r must be positive and finite")
+        if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be >= 1")
@@ -267,7 +262,7 @@ def equilibrium_residual(
     return worst
 
 
-#: number of sampled certificate directions when no sampler is given
+#: number of sampled certificate directions
 _CERT_DIRECTIONS = 64
 #: geodesic radius of sampled certificate probes
 _CERT_RADIUS = 0.1
@@ -284,14 +279,10 @@ def _certificate_normals(seed: int, ambient_dim: int) -> np.ndarray:
 
 def _certificate_probes(
     bifun: Bifunction, z: ManifoldPoint, cfg: EquilibriumResolventConfig
-) -> tuple[list[ManifoldPoint], list[tuple[TangentVector, ManifoldPoint]]]:
-    """Probe points (anchors, sampler output) and sampled ``(v, exp_z v)`` pairs."""
-    probes = list(bifun.anchors)
-    if bifun.direction_sampler is not None:
-        rng = np.random.default_rng(cfg.seed)
-        return probes + list(bifun.direction_sampler(z, rng, _CERT_RADIUS)), []
+) -> tuple[tuple[ManifoldPoint, ...], list[tuple[TangentVector, ManifoldPoint]]]:
+    """The anchors, and the 64 sampled ``(v, exp_z v)`` pairs at radius 0.1."""
     normals = _certificate_normals(cfg.seed, z.manifold.ambient_dim)
-    return probes, z.manifold.exp_sphere(z, normals, _CERT_RADIUS)
+    return bifun.anchors, z.manifold.exp_sphere(z, normals, _CERT_RADIUS)
 
 
 def resolvent_T(
@@ -302,8 +293,9 @@ def resolvent_T(
     One solve of the field resolvent of ``bifun.resolvent_field`` with
     step r.  Without a ``gradient_field`` that field is the oracle's
     diagonal gradient, and the result must then pass the regularized
-    variational inequality on sampled directions plus anchors; a failure
-    raises :class:`fields.ResolventNonconvergence` with the steps run.
+    variational inequality on the anchors plus 64 probes sampled at
+    radius 0.1; a failure raises :class:`fields.ResolventNonconvergence`
+    with the steps run.  Such a bifunction without anchors is refused.
     """
     if x.manifold != bifun.manifold:
         raise GeometryError("query point is not on the bifunction's manifold")
@@ -313,10 +305,8 @@ def resolvent_T(
     if bifun.gradient_field is not None:
         return fields.resolvent(bifun.gradient_field, field_cfg, x)
 
-    if bifun.direction_sampler is None and not bifun.anchors:
-        raise EquilibriumError(
-            f"generic bifunction {bifun.name} needs a direction sampler or anchors"
-        )
+    if not bifun.anchors:
+        raise EquilibriumError(f"generic bifunction {bifun.name} needs at least one anchor")
     z, _, steps = fields._solve(bifun.resolvent_field, field_cfg, x)
     probes, sampled = _certificate_probes(bifun, z, cfg)
     residual = equilibrium_residual(bifun, z, probes, x=x, r=cfg.r, sampled=sampled)
@@ -355,14 +345,16 @@ class AssumptionReport:
         )
 
 
+#: geodesic grid of the convexity spot check, endpoints included
+_CONVEXITY_GRID = 21
+#: largest |F(x, x)| the diagonal check accepts
+_DIAGONAL_TOL = 1e-12
+#: largest convexity gap the convexity check accepts
+_CONVEXITY_TOL = 1e-9
+
+
 def check_assumptions(
-    bifun: Bifunction,
-    samples: Sequence[tuple[ManifoldPoint, ManifoldPoint]],
-    *,
-    grid_size: int = 21,
-    diagonal_tol: float = 1e-12,
-    monotone_tol: float = 1e-9,
-    convexity_tol: float = 1e-9,
+    bifun: Bifunction, samples: Sequence[tuple[ManifoldPoint, ManifoldPoint]]
 ) -> AssumptionReport:
     """Spot-check the verifiable equilibrium assumptions on sample pairs."""
     if not samples:
@@ -370,7 +362,7 @@ def check_assumptions(
     diag = 0.0
     mono = -math.inf
     convexity = -math.inf
-    ts = np.linspace(0.0, 1.0, grid_size)
+    ts = np.linspace(0.0, 1.0, _CONVEXITY_GRID)
     for x, y in samples:
         diag = max(diag, abs(bifun.eval(x, x)), abs(bifun.eval(y, y)))
         mono = max(mono, bifun.eval(x, y) + bifun.eval(y, x))
@@ -379,6 +371,10 @@ def check_assumptions(
             mid = geodesic_point(x, y, float(t))
             gap = bifun.eval(x, mid) - ((1.0 - t) * f0 + t * f1)
             convexity = max(convexity, float(gap))
-    passed = diag <= diagonal_tol and mono <= monotone_tol and convexity <= convexity_tol
+    passed = (
+        diag <= _DIAGONAL_TOL
+        and mono <= fields.MONOTONE_SLACK_TOL
+        and convexity <= _CONVEXITY_TOL
+    )
     return AssumptionReport(diag, mono, convexity, ("A3", "A5", "A6"), passed)
 

@@ -21,7 +21,7 @@ resolvent continuity in the step and the argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -207,9 +207,9 @@ class ResolventConfig:
     inner_max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if self.lam <= 0.0:
-            raise ValueError("resolvent step lam must be positive")
-        if self.inner_tol <= 0.0:
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("resolvent step lam must be positive and finite")
+        if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
         if self.inner_max_iter < 1:
             raise ValueError("inner_max_iter must be >= 1")
@@ -425,15 +425,13 @@ class MonotonicityReport:
 def check_monotone(
     field: VectorField,
     samples: Sequence[tuple[ManifoldPoint, ManifoldPoint]],
-    *,
-    tol: float = MONOTONE_SLACK_TOL,
 ) -> MonotonicityReport:
     """Spot-check monotonicity over sample point pairs.
 
     Evaluates the slack for every value pair ``(u, v)`` in
     ``A(x) x A(y)`` and reports the minimum; PASS means no slack fell
-    below ``-tol``.  Sampling can only refute monotonicity, never prove
-    it.
+    below ``-MONOTONE_SLACK_TOL``.  Sampling can only refute
+    monotonicity, never prove it.
     """
     min_slack = math.inf
     witness = None
@@ -451,7 +449,7 @@ def check_monotone(
                     min_slack, witness = slack, (x, y, u, v)
     if count == 0:
         raise DomainError("no sample pair lies inside the field's domain")
-    return MonotonicityReport(min_slack, count, min_slack >= -tol, witness)
+    return MonotonicityReport(min_slack, count, min_slack >= -MONOTONE_SLACK_TOL, witness)
 
 
 @dataclass(frozen=True)
@@ -475,8 +473,6 @@ def check_firmly_nonexpansive(
     x: ManifoldPoint,
     y: ManifoldPoint,
     grid: Sequence[float] = tuple(np.linspace(0.0, 1.0, 11)),
-    *,
-    tol: float = MONOTONE_SLACK_TOL,
 ) -> FirmNonexpansivenessReport:
     """Check that the interpolated displacement distance is nonincreasing.
 
@@ -495,18 +491,20 @@ def check_firmly_nonexpansive(
     increments = np.diff(phi)
     max_increase = float(increments.max()) if increments.size else 0.0
     endpoint_gap = float(phi[-1] - phi[0])
-    passed = max_increase <= tol and endpoint_gap <= tol
+    passed = max_increase <= MONOTONE_SLACK_TOL and endpoint_gap <= MONOTONE_SLACK_TOL
     phi.setflags(write=False)
     ts.setflags(write=False)
     return FirmNonexpansivenessReport(phi, ts, max_increase, endpoint_gap, passed)
+
+
+#: largest drift ``d(T x*, x*)`` accepted for a claimed fixed point
+_FIXED_POINT_TOL = 1e-9
 
 
 def firmly_nonexpansive_inequality(
     mapping: Callable[[ManifoldPoint], ManifoldPoint],
     fixed_point: ManifoldPoint,
     y: ManifoldPoint,
-    *,
-    fixed_point_tol: float = 1e-9,
 ) -> float:
     """Inner product ``<log_{Ty} x*, log_{Ty} y>`` at a fixed point x*.
 
@@ -514,10 +512,8 @@ def firmly_nonexpansive_inequality(
     if the supplied point does not satisfy its fixed-point equation.
     """
     drift = dist(mapping(fixed_point), fixed_point)
-    if drift > fixed_point_tol:
-        raise ValueError(
-            f"claimed fixed point moves by {drift:.3e} > {fixed_point_tol:.1e}"
-        )
+    if drift > _FIXED_POINT_TOL:
+        raise ValueError(f"claimed fixed point moves by {drift:.3e} > {_FIXED_POINT_TOL:.1e}")
     ty = mapping(y)
     return inner(log_map(ty, fixed_point), log_map(ty, y))
 
@@ -533,26 +529,27 @@ class ContinuityReport:
         return f"resolvent continuity {verdict}: final gap {self.final_gap:.3e}"
 
 
+#: largest final gap the continuity probe accepts
+_CONTINUITY_TOL = 1e-6
+
+
 def resolvent_continuity_probe(
     field: VectorField,
     lam_seq: Sequence[float],
     point_seq: Sequence[ManifoldPoint],
     lam_limit: float,
     x_limit: ManifoldPoint,
-    *,
-    base_cfg: ResolventConfig = ResolventConfig(),
-    tol: float = 1e-6,
 ) -> ContinuityReport:
     """Check ``J_{lam_n}(x_n) -> J_lam(x)`` along explicit convergent inputs."""
     if len(lam_seq) != len(point_seq) or len(lam_seq) == 0:
         raise ValueError("lam_seq and point_seq must be equal-length and nonempty")
-    limit = resolvent(field, replace(base_cfg, lam=lam_limit), x_limit)
+    limit = resolvent(field, ResolventConfig(lam=lam_limit), x_limit)
     gaps = np.array(
         [
-            dist(resolvent(field, replace(base_cfg, lam=lam), x), limit)
+            dist(resolvent(field, ResolventConfig(lam=lam), x), limit)
             for lam, x in zip(lam_seq, point_seq)
         ]
     )
     gaps.setflags(write=False)
-    return ContinuityReport(gaps, float(gaps[-1]), bool(gaps[-1] <= tol))
+    return ContinuityReport(gaps, float(gaps[-1]), bool(gaps[-1] <= _CONTINUITY_TOL))
 

@@ -452,7 +452,10 @@ class Manifold(ABC):
     def random_point(
         self, rng: np.random.Generator, spread: float = 1.0
     ) -> ManifoldPoint:
-        """Random point within geodesic distance ``spread`` of the base point."""
+        """Random point within geodesic distance ``spread`` of the base point.
+
+        A :class:`Hyperboloid` holds no point beyond radius about 19.5.
+        """
         base = self.base_point()
         radius = spread * rng.uniform()
         return self.exp(base, self.random_tangent(rng, base, scale=radius))
@@ -532,6 +535,10 @@ class Hyperboloid(Manifold):
     signature ``(-,+,...,+)``.  The Riemannian metric is the restriction
     of the Minkowski form to tangent spaces, where it is positive
     definite.
+
+    Float64 coordinates hold points only within radius about 19.5 of
+    the base point: ``exp`` beyond it raises :class:`GeometryError`, and
+    distances drift before it (by about 0.4 at radius 19).
     """
 
     dim: int

@@ -29,7 +29,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import equilibrium as eq
 from . import fields
@@ -74,9 +74,8 @@ class ScheduleError(ValueError):
 class ScheduleBounds:
     """Declared bounds (a, b, lam_lo, lam_hi, r_min) for a step schedule.
 
-    ``r_tail_index`` is the declared index beyond which ``r_n >= r_min``
-    must hold; it is the finite surrogate for a positive lower limit of
-    the ``r_n`` sequence.
+    Every ``r_n`` must be finite and at least ``r_min``, the finite
+    surrogate for a positive lower limit of the ``r_n`` sequence.
     """
 
     a: float = 0.01
@@ -84,17 +83,14 @@ class ScheduleBounds:
     lam_lo: float = 0.01
     lam_hi: float = 100.0
     r_min: float = 0.01
-    r_tail_index: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.a <= self.b < 1.0:
             raise ScheduleError(f"need 0 < a <= b < 1, got a={self.a}, b={self.b}")
         if not 0.0 < self.lam_lo <= self.lam_hi < math.inf:
             raise ScheduleError("need 0 < lam_lo <= lam_hi < inf")
-        if self.r_min <= 0.0:
-            raise ScheduleError("need r_min > 0")
-        if self.r_tail_index < 0:
-            raise ScheduleError("r_tail_index must be >= 0")
+        if not 0.0 < self.r_min < math.inf:
+            raise ScheduleError("need 0 < r_min < inf")
 
 
 DEFAULT_BOUNDS = ScheduleBounds()
@@ -162,8 +158,8 @@ def validate_schedule(schedule: StepSchedule, horizon: int) -> ScheduleReport:
             return ScheduleReport(
                 False, horizon, (n, f"lam_n={lam!r} outside [{b.lam_lo}, {b.lam_hi}]")
             )
-        if n >= b.r_tail_index and r < b.r_min:
-            return ScheduleReport(False, horizon, (n, f"r_n={r!r} below r_min={b.r_min}"))
+        if not b.r_min <= r < math.inf:
+            return ScheduleReport(False, horizon, (n, f"r_n={r!r} outside [{b.r_min}, inf)"))
     return ScheduleReport(True, horizon, None)
 
 
@@ -176,13 +172,17 @@ class StoppingRule:
     ref_tol: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iter < 0:
+        if not self.max_iter >= 0:
             raise ValueError("max_iter must be >= 0")
-        if self.step_tol is not None and self.step_tol < 0.0:
+        if self.step_tol is not None and not self.step_tol >= 0.0:
             raise ValueError("step_tol must be >= 0")
+        if self.ref_tol is not None and not self.ref_tol >= 0.0:
+            raise ValueError("ref_tol must be >= 0")
 
 
 MEMBERSHIP_TOL = 1e-6
+#: geodesic radii of the tangent-frame probes of the equilibrium residual
+_PROBE_RADII = (0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,6 @@ def membership_residuals(
     field: fields.VectorField | None,
     bifunction: eq.Bifunction | None,
     point: ManifoldPoint,
-    *,
-    probe_radii: Sequence[float] = (0.5, 1.0),
 ) -> tuple[float, float]:
     """How far a point is from the solution set of each subproblem.
 
@@ -242,7 +240,7 @@ def membership_residuals(
         probes = [
             exp_map(point, float(s) * radius * b)
             for b in point.manifold.tangent_basis(point)
-            for radius in probe_radii
+            for radius in _PROBE_RADII
             for s in (1.0, -1.0)
         ]
         probes.extend(bifunction.anchors)
@@ -516,7 +514,6 @@ def run(
     stop: StoppingRule = StoppingRule(),
     *,
     algorithm: str = "auto",
-    inner_tol: float = _INNER_TOL_BASE,
     inner_max_iter: int = 500,
     seed: int = 0,
 ) -> IterationTrace:
@@ -547,7 +544,7 @@ def run(
     error = ""
     prev_step = math.inf
     for n in range(stop.max_iter):
-        tol_n = min(inner_tol, max(_INNER_TOL_FLOOR, _INNER_TOL_FRACTION * prev_step))
+        tol_n = min(_INNER_TOL_BASE, max(_INNER_TOL_FLOOR, _INNER_TOL_FRACTION * prev_step))
         t0 = time.perf_counter()
         try:
             result = step_fn(
@@ -639,13 +636,15 @@ class FejerReport:
         )
 
 
+#: largest increase of d(x_n, ref) the Fejer replay accepts
+_FEJER_TOL = 1e-9
+#: largest violation of the per-step descent inequality it accepts
+_COMPOSITE_TOL = 1e-8
+
+
 def fejer_diagnostics(
     trace: IterationTrace,
     ref: ManifoldPoint | None = None,
-    *,
-    fejer_tol: float = 1e-9,
-    composite_tol: float = 1e-8,
-    membership_tol: float = MEMBERSHIP_TOL,
 ) -> FejerReport:
     """Check Fejer monotonicity and the per-step descent inequality.
 
@@ -657,7 +656,7 @@ def fejer_diagnostics(
     if ref is None:
         raise ValueError("no reference point available for diagnostics")
     res_a, res_f = membership_residuals(trace.problem.field, trace.problem.bifunction, ref)
-    if max(res_a, res_f) > membership_tol:
+    if max(res_a, res_f) > MEMBERSHIP_TOL:
         raise ReferenceMembershipError(res_a, res_f)
 
     if not trace.records:
@@ -682,9 +681,9 @@ def fejer_diagnostics(
         max(steps[i : i + quarters]) for i in range(0, len(steps), quarters)
     )
     tail_nonincreasing = all(
-        tail_maxima[i + 1] <= tail_maxima[i] + fejer_tol for i in range(len(tail_maxima) - 1)
+        tail_maxima[i + 1] <= tail_maxima[i] + _FEJER_TOL for i in range(len(tail_maxima) - 1)
     )
-    passed = fejer_violation <= fejer_tol and composite_violation <= composite_tol
+    passed = fejer_violation <= _FEJER_TOL and composite_violation <= _COMPOSITE_TOL
     return FejerReport(
         n_steps=len(trace.records),
         fejer_max_violation=float(fejer_violation),

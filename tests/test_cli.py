@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hsplit.cli import main
 
 
@@ -51,6 +53,17 @@ def test_run_invalid_schedule_exit_64(tmp_path):
 
 def test_run_missing_problem_exit_64(tmp_path):
     assert run_cli("run", "--out", str(tmp_path)) == 64
+
+
+@pytest.mark.parametrize(
+    "problem, flag, value",
+    [("hyper_dist", "--r", "inf"), ("saddle_bilinear", "--r", "inf"),
+     ("euclid_quad", "--r", "nan"), ("euclid_quad", "--tol", "nan")],
+)
+def test_run_nonfinite_parameter_exit_64(tmp_path, capsys, problem, flag, value):
+    assert run_cli("run", "--problem", problem, flag, value, "--out", str(tmp_path)) == 64
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_config_file_with_flag_override(tmp_path):
@@ -161,6 +174,22 @@ def test_bench_summary_deterministic(tmp_path):
 
 def test_bench_no_problems_exit_64(tmp_path):
     assert run_cli("bench", "--out", str(tmp_path)) == 64
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+def test_bench_invalid_stopping_rule_exit_64(tmp_path, capsys, flag):
+    assert run_cli("bench", "--problems", "euclid_quad", flag, "-1",
+                   "--out", str(tmp_path)) == 64
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_bench_nonfinite_r_cells_schedule_invalid(tmp_path):
+    code = run_cli("bench", "--problems", "euclid_quad,hyper_dist", "--r", "inf,nan",
+                   "--out", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "summary.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(row.split(",")[5] == "schedule_invalid" for row in rows)
 
 
 # -- list-problems ---------------------------------------------------------------------

@@ -7,6 +7,8 @@ firm nonexpansiveness, fixed points = equilibria, full domain) on the
 shipped bifunction zoo.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -182,8 +184,8 @@ def test_certificate_probes_match_sequential_draws(m, rng):
 
 
 def test_resolvent_dispatches_on_gradient_field():
-    # a gradient field alone selects the field resolvent: no anchors, no
-    # sampler, and the oracle is never called
+    # a gradient field alone selects the field resolvent: no anchors, and
+    # the oracle is never called
     m = Euclidean(1)
     calls = {"n": 0}
 
@@ -223,8 +225,8 @@ def test_resolvent_certificate_failure_reports_rounds_run():
 
 def test_resolvent_generic_requires_directions():
     m = Euclidean(1)
-    bf = generic_bifunction(m, lambda x, y: 0.0, name="no_sampler")
-    with pytest.raises(EquilibriumError, match="direction sampler"):
+    bf = generic_bifunction(m, lambda x, y: 0.0, name="no_anchors")
+    with pytest.raises(EquilibriumError, match="needs at least one anchor"):
         resolvent_T(bf, EquilibriumResolventConfig(r=1.0, inner_tol=1e-6), m.point([1.0]))
 
 
@@ -233,6 +235,15 @@ def test_resolvent_config_validation():
         EquilibriumResolventConfig(r=0.0)
     with pytest.raises(ValueError):
         EquilibriumResolventConfig(inner_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"r": math.nan}, {"r": math.inf}, {"inner_tol": math.nan}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_resolvent_config_refuses_nonfinite(kwargs):
+    with pytest.raises(ValueError):
+        EquilibriumResolventConfig(**kwargs)
 
 
 # -- check_assumptions -------------------------------------------------------------

@@ -213,6 +213,15 @@ def test_resolvent_config_validation():
         ResolventConfig(inner_max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"lam": math.nan}, {"lam": math.inf}, {"inner_tol": math.nan}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_resolvent_config_refuses_nonfinite(kwargs):
+    with pytest.raises(ValueError):
+        ResolventConfig(**kwargs)
+
+
 # -- operator contracts across the shipped zoo --------------------------------------
 
 

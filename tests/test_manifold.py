@@ -144,6 +144,19 @@ def test_exp_overflowing_result_rejected():
             spd.exp(eye, spd.tangent(eye, 800.0 * np.eye(2).ravel()))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_exp_hyperboloid_representable_radius(n):
+    # float64 Lorentz coordinates hold points up to radius ~19.5
+    h = Hyperboloid(n)
+    base = h.base_point()
+    direction = np.zeros(n + 1)
+    direction[1] = 1.0
+    far = exp_map(base, h.tangent(base, 19.0 * direction))
+    assert far.coords[0] > 1e7
+    with pytest.raises(GeometryError):
+        exp_map(base, h.tangent(base, 25.0 * direction))
+
+
 def test_exp_sphere_matches_random_tangent_then_exp(manifold, rng):
     # each row of the batch is the pair random_tangent + exp would give
     # for a generator drawing that row, bit for bit; SPD and the product

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hsplit import apps
-from hsplit.equilibrium import convex_difference, generic_bifunction
+from hsplit.equilibrium import convex_difference, field_induced, generic_bifunction
 from hsplit.fields import DistanceGradientField, LinearField, VectorField, resolvent_residual
 from hsplit.manifold import SPD, Euclidean, Hyperboloid, TangentVector, dist, log_map
 from hsplit.splitting import (
@@ -155,6 +155,30 @@ def test_schedule_bounds_validation():
         ScheduleBounds(r_min=0.0)
     with pytest.raises(ScheduleError):
         ScheduleBounds(lam_lo=0.0)
+
+
+@pytest.mark.parametrize("r_min", [math.nan, math.inf])
+def test_schedule_bounds_refuse_nonfinite_r_min(r_min):
+    with pytest.raises(ScheduleError):
+        ScheduleBounds(r_min=r_min)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_schedule_refuses_nonfinite_r(r):
+    report = validate_schedule(StepSchedule.constant(r=r), 10)
+    assert not report.passed
+    assert report.first_violation[0] == 0 and "r_n" in report.first_violation[1]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_iter": -1}, {"step_tol": -1.0}, {"step_tol": math.nan},
+     {"ref_tol": -1.0}, {"ref_tol": math.nan}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_stopping_rule_refuses_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        StoppingRule(**kwargs)
 
 
 def test_run_rejects_invalid_schedule_before_iterating():
@@ -355,6 +379,29 @@ def test_problem_instance_validation():
         LinearField(m, np.eye(1)), None, m.point([3.0])
     )
     assert res_a == 3.0 and res_f == 0.0
+
+
+@pytest.mark.parametrize("make", ["convex_difference", "field_induced"])
+@pytest.mark.parametrize("m", [Euclidean(3), Hyperboloid(2)], ids=lambda m: m.tag)
+def test_membership_probes_evaluate_each_point_once(make, m, rng):
+    # 4*dim frame probes (two radii, two signs) plus each known
+    # equilibrium once; the structured constructors set no anchors
+    p = m.random_point(rng, 1.0)
+    field = DistanceGradientField(p)
+    if make == "convex_difference":
+        bf = convex_difference(m, lambda x: 0.5 * dist(x, p) ** 2, field)
+    else:
+        bf = field_induced(field)
+    calls = {"n": 0}
+    evaluate = bf.eval
+
+    def counting(x, y):
+        calls["n"] += 1
+        return evaluate(x, y)
+
+    bf.eval = counting
+    membership_residuals(None, bf, m.random_point(rng, 1.0))
+    assert calls["n"] == 4 * m.manifold_dim + len(bf.known_equilibria)
 
 
 # -- traces ---------------------------------------------------------------------------
