@@ -112,7 +112,8 @@ class Bifunction:
 
     def eval(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         """Evaluate F(x, y); finite by contract, zero on the diagonal."""
-        if x.manifold != self.manifold or y.manifold != self.manifold:
+        m = self.manifold
+        if (x.manifold is not m and x.manifold != m) or (y.manifold is not m and y.manifold != m):
             raise GeometryError(f"bifunction {self.name} evaluated off its manifold")
         value = float(self._evaluator(x, y))
         if not math.isfinite(value):

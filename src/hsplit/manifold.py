@@ -24,6 +24,7 @@ product residuals at each vertex.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,6 +122,17 @@ def _as_coords(values) -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    # a freshly computed array needs no copy to become immutable
+    arr.setflags(write=False)
+    return arr
+
+
+def _same_coords(x: ManifoldPoint, y: ManifoldPoint) -> bool:
+    # what np.array_equal answers for points of one manifold, at a tenth of its cost
+    return x is y or x.coords.tolist() == y.coords.tolist()
+
+
 def _all_finite(arr: np.ndarray) -> bool:
     # a Python loop over a few coordinates is ~10x faster than np.isfinite
     return all(map(math.isfinite, arr.ravel().tolist()))
@@ -172,19 +184,19 @@ class TangentVector:
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         _check_same_base(self, other)
-        return TangentVector(self.base, _as_coords(self.components + other.components))
+        return TangentVector(self.base, _frozen(self.components + other.components))
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
         _check_same_base(self, other)
-        return TangentVector(self.base, _as_coords(self.components - other.components))
+        return TangentVector(self.base, _frozen(self.components - other.components))
 
     def __mul__(self, scalar: float) -> "TangentVector":
-        return TangentVector(self.base, _as_coords(float(scalar) * self.components))
+        return TangentVector(self.base, _frozen(float(scalar) * self.components))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, _as_coords(-self.components))
+        return TangentVector(self.base, _frozen(-self.components))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TangentVector({self.manifold.tag}, {np.array2string(self.components, precision=6)})"
@@ -378,7 +390,7 @@ class Manifold(ABC):
         """Initial velocity of the minimal geodesic from x to y; inverse of exp."""
         self._own_point(x)
         _check_same_manifold(x, y)
-        if np.array_equal(x.coords, y.coords):
+        if _same_coords(x, y):
             return self.zero_vector(x)
         w = _as_coords(self._log(x, y))
         _require_finite(w, "tangent components from log")
@@ -387,7 +399,7 @@ class Manifold(ABC):
     def dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         self._own_point(x)
         _check_same_manifold(x, y)
-        if np.array_equal(x.coords, y.coords):
+        if _same_coords(x, y):
             return 0.0
         d = float(self._dist(x, y))
         if not math.isfinite(d):
@@ -399,7 +411,19 @@ class Manifold(ABC):
         return float(self._inner(u.base.coords, u.components, v.components))
 
     def norm(self, v: TangentVector) -> float:
-        val = self._inner(v.base.coords, v.components, v.components)
+        x, w = v.base.coords, v.components
+        try:
+            val = self._inner(x, w, w)
+        except (OverflowError, ValueError):  # a Minkowski fsum over overflowed products
+            val = math.inf
+        if not math.isfinite(val):
+            # the squares overflow before the norm does: |w| = s * |w / s|
+            # with s = max |w_i|, as the metric is quadratic in w
+            s = float(np.max(np.abs(w)))
+            if not 0.0 < s < math.inf:
+                return s
+            w = w / s
+            return s * math.sqrt(max(self._inner(x, w, w), 0.0))
         return math.sqrt(max(val, 0.0))
 
     def geodesic(self, x: ManifoldPoint, y: ManifoldPoint, t: float) -> ManifoldPoint:
@@ -520,7 +544,11 @@ class Euclidean(Manifold):
         return y.coords - x.coords
 
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        return float(np.linalg.norm(y.coords - x.coords))
+        # np.linalg.norm's arithmetic without its dispatch; hypot only where
+        # the squares overflow before the distance does
+        d = y.coords - x.coords
+        n2 = d.dot(d)
+        return math.sqrt(n2) if n2 < math.inf else math.hypot(*d.tolist())
 
     def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
         return [row for row in np.eye(self.dim)]
@@ -567,7 +595,8 @@ class Hyperboloid(Manifold):
         rounding by sinh of the distance, so the extra cost is the price
         of meaningful tangency defects.
         """
-        return math.fsum([-a[0] * b[0], *(a[1:] * b[1:])])
+        a, b = a.tolist(), b.tolist()
+        return math.fsum([-a[0] * b[0], *map(operator.mul, a[1:], b[1:])])
 
     @staticmethod
     def minkowski_exact(a: np.ndarray, b: np.ndarray) -> float:
@@ -578,11 +607,12 @@ class Hyperboloid(Manifold):
         like sinh(d)^2/d, so ordinary product rounding (relative in the
         coordinate magnitudes) is far too coarse.
         """
+        a, b = a.tolist(), b.tolist()
         terms: list[float] = []
-        p, err = _two_product(float(a[0]), float(b[0]))
+        p, err = _two_product(a[0], b[0])
         terms.extend((-p, -err))
         for ai, bi in zip(a[1:], b[1:]):
-            p, err = _two_product(float(ai), float(bi))
+            p, err = _two_product(ai, bi)
             terms.extend((p, err))
         return _finite_sum(terms)
 
@@ -955,9 +985,13 @@ class Product(Manifold):
         )
 
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        return math.sqrt(
-            sum(f._dist(p, q) ** 2 for f, p, q in zip(self.factors, self._parts(x), self._parts(y)))
-        )
+        ds = [f._dist(p, q) for f, p, q in zip(self.factors, self._parts(x), self._parts(y))]
+        try:
+            n2 = sum(d ** 2 for d in ds)
+        except OverflowError:
+            n2 = math.inf
+        # hypot only where the squares overflow before the distance does
+        return math.sqrt(n2) if n2 < math.inf else math.hypot(*ds)
 
     def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
         dirs = []

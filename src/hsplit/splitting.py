@@ -96,6 +96,18 @@ class ScheduleBounds:
 DEFAULT_BOUNDS = ScheduleBounds()
 
 
+class _Constant:
+    """The sequence ``n -> value``: one bound check covers every index."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def __call__(self, n: int) -> float:
+        return self.value
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Per-iteration relaxation and resolvent parameters.
@@ -120,9 +132,14 @@ class StepSchedule:
         r: float = 1.0,
         bounds: ScheduleBounds = DEFAULT_BOUNDS,
     ) -> "StepSchedule":
+        """The schedule with the same four values at every index.
+
+        :func:`validate_schedule` checks it once, at n = 0, whatever
+        the horizon.
+        """
         desc = f"alpha={alpha!r},beta={beta!r},lam={lam!r},r={r!r}"
         return StepSchedule(
-            lambda n: alpha, lambda n: beta, lambda n: lam, lambda n: r, bounds, desc
+            _Constant(alpha), _Constant(beta), _Constant(lam), _Constant(r), bounds, desc
         )
 
 
@@ -143,11 +160,19 @@ class ScheduleReport:
 
 
 def validate_schedule(schedule: StepSchedule, horizon: int) -> ScheduleReport:
-    """Check the three bound conditions for all indices up to ``horizon``."""
+    """Check the three bound conditions for all indices up to ``horizon``.
+
+    A schedule whose four sequences all come from
+    :meth:`StepSchedule.constant` is checked once, at n = 0: a value that
+    passes there passes at every n.  Any other schedule is checked at
+    every index.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     b = schedule.bounds
-    for n in range(horizon + 1):
+    seqs = (schedule.alpha, schedule.beta, schedule.lam, schedule.r)
+    last = 0 if all(isinstance(s, _Constant) for s in seqs) else horizon
+    for n in range(last + 1):
         alpha, beta = schedule.alpha(n), schedule.beta(n)
         lam, r = schedule.lam(n), schedule.r(n)
         if not b.a <= alpha <= b.b:
@@ -523,8 +548,8 @@ def run(
     step distance so inner error cannot mask outer convergence.  A
     resolvent failure or a :class:`GeometryError` inside a step aborts
     the run and is recorded in the trace rather than raised.  The schedule is checked against its bounds up to
-    ``max(stop.max_iter, 1)`` first; a violation raises
-    :class:`ScheduleError`.
+    ``max(stop.max_iter, 1)`` first (once, for a constant schedule); a
+    violation raises :class:`ScheduleError`.
     """
     if algorithm == "auto":
         algorithm = choose_algorithm(problem)

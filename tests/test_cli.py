@@ -172,6 +172,17 @@ def test_bench_summary_deterministic(tmp_path):
     ).read_bytes()
 
 
+def test_bench_outputs_identical_across_jobs(tmp_path):
+    # every trace CSV and sidecar, not only the summary, is the same at any --jobs
+    args = ("bench", "--problems", "euclid_quad,saddle_bilinear,hyper_dist", "--alpha", "0.3,0.6")
+    assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "one")) == 0
+    assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "two")) == 0
+    one = {f.name: f.read_bytes() for f in (tmp_path / "one").iterdir()}
+    two = {f.name: f.read_bytes() for f in (tmp_path / "two").iterdir()}
+    assert len(one) == 1 + 2 * 6
+    assert one == two
+
+
 def test_bench_no_problems_exit_64(tmp_path):
     assert run_cli("bench", "--out", str(tmp_path)) == 64
 

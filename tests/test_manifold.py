@@ -22,6 +22,8 @@ from hsplit.manifold import (
     GeometryError,
     Hyperboloid,
     Product,
+    _finite_sum,
+    _same_coords,
     _two_product,
     comparison_triangle,
     dist,
@@ -241,6 +243,33 @@ def test_dist_overflowing_result_rejected():
     with np.errstate(over="ignore"):
         with pytest.raises(GeometryError, match="non-finite distance"):
             line.dist(line.point([-1e308]), line.point([1e308]))
+
+
+@pytest.mark.parametrize("big", [1e155, 1e200])
+def test_flat_dist_and_norm_past_overflowing_squares(big):
+    # the sum of squares overflows, the norm does not: both match hypot within 1 ulp
+    line, plane, hyp = Euclidean(1), Euclidean(2), Hyperboloid(1)
+    lines = Product((line, line))
+    o1, o2, oo = line.point([0.0]), plane.point([0.0, 0.0]), lines.point([0.0, 0.0])
+    h = hyp.point([math.cosh(1.0), math.sinh(1.0)])
+    with np.errstate(over="ignore"):
+        cases = [
+            (line.dist(o1, line.point([big])), (big,)),
+            (line.dist(line.point([-big / 4]), line.point([big / 2])), (0.75 * big,)),
+            (plane.dist(o2, plane.point([big, -big / 3])), (big, -big / 3)),
+            (norm(line.tangent(o1, [big])), (big,)),
+            (norm(plane.tangent(o2, [-big / 3, big])), (-big / 3, big)),
+            (lines.dist(oo, lines.point([big, -big / 3])), (big, -big / 3)),
+            (norm(lines.tangent(oo, [big, -big / 3])), (big, -big / 3)),
+        ]
+        # both squares of a tangent off the hyperboloid's apex overflow; its
+        # norm cancels -sinh^2 + cosh^2, which costs a few ulps
+        curved = norm(hyp.tangent(h, [big * math.sinh(1.0), big * math.cosh(1.0)]))
+    for value, parts in cases:
+        expected = math.hypot(*parts)
+        assert math.isfinite(value)
+        assert abs(value - expected) <= math.ulp(expected)
+    assert abs(curved - big) <= 1e-14 * big
 
 
 def test_dist_spd_against_logm_oracle(rng):
@@ -608,3 +637,95 @@ def test_euclidean_geodesic_interpolates_property(a, b, t):
     x, y = m.point(a), m.point(b)
     g = geodesic_point(x, y, t)
     assert abs(dist(x, g) - t * dist(x, y)) <= 1e-9 * max(1.0, dist(x, y))
+
+
+# -- kernel rewrites against the formulas they replace ----------------------------------
+
+
+def _old_minkowski_exact(a, b):
+    terms = []
+    p, err = _two_product(float(a[0]), float(b[0]))
+    terms.extend((-p, -err))
+    for ai, bi in zip(a[1:], b[1:]):
+        p, err = _two_product(float(ai), float(bi))
+        terms.extend((p, err))
+    return _finite_sum(terms)
+
+
+in_range = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+vector_pairs = st.integers(min_value=1, max_value=5).flatmap(
+    lambda k: st.tuples(st.lists(in_range, min_size=k, max_size=k),
+                        st.lists(in_range, min_size=k, max_size=k))
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(vector_pairs)
+def test_euclidean_dist_matches_linalg_norm_property(pair):
+    a, b = pair
+    m = Euclidean(len(a))
+    x, y = m.point(a), m.point(b)
+    expected = float(np.linalg.norm(y.coords - x.coords))
+    got = m._dist(x, y)
+    assert type(got) is float
+    assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(vector_pairs.filter(lambda pair: len(pair[0]) >= 2))
+def test_minkowski_forms_match_array_formulas_property(pair):
+    a, b = (np.array(v) for v in pair)
+    form = Hyperboloid.minkowski(a, b)
+    assert form == math.fsum([-a[0] * b[0], *(a[1:] * b[1:])])
+    try:
+        expected = _old_minkowski_exact(a, b)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            Hyperboloid.minkowski_exact(a, b)
+    else:
+        assert Hyperboloid.minkowski_exact(a, b) == expected
+
+
+EQUAL_TEST_MANIFOLDS = (
+    Euclidean(3), Hyperboloid(2), SPD(2), Product((Euclidean(2), Hyperboloid(2))),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(EQUAL_TEST_MANIFOLDS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["same", "copy", "signed_zeros", "other"]),
+)
+def test_equal_coordinates_test_matches_array_equal_property(m, seed, at_base, kind):
+    rng = np.random.default_rng(seed)
+    x = m.base_point() if at_base else m.random_point(rng, 2.0)
+    if kind == "same":
+        y = x
+    elif kind == "copy":
+        y = m.point(x.coords.copy())
+    elif kind == "signed_zeros":  # 0.0 and -0.0 are equal coordinates
+        y = m.point(np.where(x.coords == 0.0, -x.coords, x.coords))
+    else:
+        y = m.random_point(rng, 2.0)
+    same = np.array_equal(x.coords, y.coords)
+    assert _same_coords(x, y) == same
+    assert same == (kind != "other")
+    if same:
+        d = m.dist(x, y)
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0
+        v = m.log(x, y)
+        assert v.base is x and v.components.tolist() == [0.0] * m.ambient_dim
+
+
+def test_tangent_arithmetic_results_are_read_only():
+    m = Euclidean(2)
+    x = m.point([1.0, 2.0])
+    u, v = m.tangent(x, [1.0, -1.0]), m.tangent(x, [0.5, 3.0])
+    for w, expected in ((u + v, [1.5, 2.0]), (u - v, [0.5, -4.0]), (2 * u, [2.0, -2.0]),
+                        (u * 2, [2.0, -2.0]), (-u, [-1.0, 1.0])):
+        assert w.base is x and w.components.tolist() == expected
+        assert not w.components.flags.writeable
+        with pytest.raises(ValueError):
+            w.components[0] = 0.0

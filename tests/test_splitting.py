@@ -6,8 +6,11 @@ trace serialization, convergence diagnostics, and the specialized
 iterations are exercised against closed-form oracles.
 """
 
+import collections
+import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,57 @@ def test_schedule_refuses_nonfinite_r(r):
     report = validate_schedule(StepSchedule.constant(r=r), 10)
     assert not report.passed
     assert report.first_violation[0] == 0 and "r_n" in report.first_violation[1]
+
+
+def _as_lambdas(schedule):
+    # the same values as custom sequences, which the check visits index by index
+    a, b, lam, r = (f(0) for f in (schedule.alpha, schedule.beta, schedule.lam, schedule.r))
+    return StepSchedule(
+        lambda n: a, lambda n: b, lambda n: lam, lambda n: r, schedule.bounds, "custom"
+    )
+
+
+@pytest.mark.parametrize("horizon", [1, 10, 10_000])
+@pytest.mark.parametrize(
+    "values",
+    [{}, {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": math.nan}, {"alpha": math.inf},
+     {"beta": 0.995}, {"beta": math.nan}, {"beta": -math.inf},
+     {"lam": 0.001}, {"lam": 1e3}, {"lam": math.nan}, {"lam": math.inf},
+     {"r": 0.001}, {"r": math.nan}, {"r": math.inf}, {"r": -math.inf}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()) or "in-bounds",
+)
+def test_constant_schedule_report_equals_indexwise_report(values, horizon):
+    sched = StepSchedule.constant(**values)
+    report = validate_schedule(sched, horizon)
+    assert report == validate_schedule(_as_lambdas(sched), horizon)
+    assert report.passed == (not values)
+
+
+def test_mixed_schedule_checks_every_index():
+    # constant alpha, beta and lam; a custom r that leaves its bound only at n = 5000
+    sched = dataclasses.replace(StepSchedule.constant(), r=lambda n: 0.001 if n == 5000 else 1.0)
+    report = validate_schedule(sched, 10_000)
+    assert report.first_violation == (5000, "r_n=0.001 outside [0.01, inf)")
+    assert validate_schedule(sched, 4999).passed
+
+
+def test_constant_schedule_check_is_constant_time():
+    # no Python function runs more than a few times, where an index-by-index
+    # check would call each of the four sequences 10**6 + 1 times
+    sched = StepSchedule.constant()
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        report = validate_schedule(sched, 10**6)
+    finally:
+        sys.setprofile(None)
+    assert report.passed and report.horizon == 10**6
+    assert max(calls.values()) <= 10
 
 
 @pytest.mark.parametrize(
