@@ -6,7 +6,8 @@ Subcommands
                    trace and a JSON metadata sidecar.
 ``verify``         seeded property suites with per-property PASS/FAIL.
 ``bench``          grid sweep over schedule parameters; one trace per
-                   cell plus a deterministic summary CSV.
+                   cell plus a deterministic summary CSV.  Cells run in
+                   order in the calling thread; ``--jobs`` is parsed and ignored.
 ``list-problems``  shipped problem ids with manifold and provenance.
 
 Configuration is a flat ``key = value`` text file; command-line flags
@@ -22,7 +23,6 @@ Exit codes: 0 success / tolerance reached; 1 verification failure;
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from pathlib import Path
@@ -225,7 +225,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             step_tol=_float(values, "tol", 1e-9),
         )
         seed = _int(values, "seed", 0)
-        jobs = max(1, _int(values, "jobs", 1))
+        _int(values, "jobs", 1)  # accepted for old command lines; cells run in order
     except ValueError as exc:  # ConfigError and a refused stopping rule
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -240,14 +240,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for l in lams
         for r in rs
     )
-    rows: list[tuple] = [None] * len(cells)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            pool.submit(_bench_cell, *cell, stop, seed ^ idx, out): idx
-            for idx, cell in enumerate(cells)
-        }
-        for future in concurrent.futures.as_completed(futures):
-            rows[futures[future]] = future.result()
+    rows = [_bench_cell(*cell, stop, seed ^ idx, out) for idx, cell in enumerate(cells)]
 
     summary = out / "summary.csv"
     lines = ["problem,alpha,beta,lambda,r,iters_to_tol,final_dx"]
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tol", type=float)
     bench.add_argument("--max-iter", dest="max_iter", type=int)
     bench.add_argument("--seed", type=int)
-    bench.add_argument("--jobs", type=int, help="threads; no speedup for pure-Python cells (GIL)")
+    bench.add_argument("--jobs", type=int, help="accepted and ignored; cells run one at a time")
     bench.add_argument("--out", help="output directory")
     bench.set_defaults(func=cmd_bench)
 

@@ -408,7 +408,10 @@ class Manifold(ABC):
 
     def inner(self, u: TangentVector, v: TangentVector) -> float:
         _check_same_base(u, v)
-        return float(self._inner(u.base.coords, u.components, v.components))
+        val = float(self._inner(u.base.coords, u.components, v.components))
+        if not math.isfinite(val):
+            raise GeometryError(f"non-finite inner product {val!r}")
+        return val
 
     def norm(self, v: TangentVector) -> float:
         x, w = v.base.coords, v.components
@@ -596,7 +599,10 @@ class Hyperboloid(Manifold):
         of meaningful tangency defects.
         """
         a, b = a.tolist(), b.tolist()
-        return math.fsum([-a[0] * b[0], *map(operator.mul, a[1:], b[1:])])
+        try:
+            return math.fsum([-a[0] * b[0], *map(operator.mul, a[1:], b[1:])])
+        except (OverflowError, ValueError) as exc:  # an overflowing or inf - inf sum
+            raise GeometryError(f"Minkowski form overflows the float range: {exc}") from exc
 
     @staticmethod
     def minkowski_exact(a: np.ndarray, b: np.ndarray) -> float:

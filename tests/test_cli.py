@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -87,6 +88,8 @@ def test_run_bad_config_exit_64(tmp_path):
     assert run_cli("run", "--config", str(config)) == 64
     config.write_text("nonsense_key = 1\n")
     assert run_cli("run", "--config", str(config)) == 64
+    config.write_text("problems = euclid_quad\njobs = two\n")
+    assert run_cli("bench", "--config", str(config), "--out", str(tmp_path)) == 64
 
 
 def test_run_env_out_dir(tmp_path, monkeypatch):
@@ -181,6 +184,22 @@ def test_bench_outputs_identical_across_jobs(tmp_path):
     two = {f.name: f.read_bytes() for f in (tmp_path / "two").iterdir()}
     assert len(one) == 1 + 2 * 6
     assert one == two
+
+
+def test_bench_starts_no_thread(tmp_path, monkeypatch):
+    # --jobs and the jobs config key are accepted, and cells still run in this thread
+    def refuse(self):
+        raise AssertionError("hsplit bench started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    args = ("bench", "--problems", "euclid_quad,hyper_dist", "--alpha", "0.3,0.6")
+    config = tmp_path / "bench.cfg"
+    config.write_text("jobs = 2\n")
+    for extra, out in ((("--jobs", "2"), "flag"), (("--config", str(config)), "config")):
+        assert run_cli(*args, *extra, "--out", str(tmp_path / out)) == 0
+        rows = (tmp_path / out / "summary.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(int(row.split(",")[5]) > 0 for row in rows)
 
 
 def test_bench_no_problems_exit_64(tmp_path):

@@ -329,6 +329,21 @@ def test_inner_cauchy_schwarz(manifold, rng):
         assert abs(inner(u, v)) <= norm(u) * norm(v) + 1e-12
 
 
+def test_inner_overflowing_result_rejected():
+    # finite tangents whose squares overflow: the flat sum reaches inf, and the
+    # Minkowski sum meets -inf + inf, which norm rescales past
+    plane, hyp = Euclidean(2), Hyperboloid(1)
+    o = plane.point([0.0, 0.0])
+    h = hyp.point([math.cosh(1.0), math.sinh(1.0)])
+    with np.errstate(over="ignore"):
+        flat = plane.tangent(o, [1e200, 1e200])
+        curved = hyp.tangent(h, [1e160 * math.sinh(1.0), 1e160 * math.cosh(1.0)])
+        for u in (flat, curved):
+            with pytest.raises(GeometryError):
+                inner(u, u)
+        assert abs(norm(curved) - 1e160) <= 1e-14 * 1e160
+
+
 def test_inner_base_mismatch_rejected(rng):
     m = Euclidean(2)
     x, y = m.point([0.0, 0.0]), m.point([1.0, 0.0])
