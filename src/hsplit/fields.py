@@ -9,9 +9,10 @@ satisfying
 
 the geodesic analogue of ``(I + lam A)^-1``.  Structured fields (linear
 on flat space, gradients of squared distances) are solved in closed
-form; everything else goes through a damped geometric fixed-point
-iteration whose fixed points are exactly the solutions of the resolvent
-equation.
+form; everything else goes through a geometric fixed-point iteration
+whose fixed points are exactly the solutions of the resolvent equation.
+Its step length is the two-point (Barzilai-Borwein) estimate read from
+the last step taken, guarded by monotone backtracking on the residual.
 
 Verification helpers check monotonicity, firm nonexpansiveness, the
 fixed-point inequality satisfied by firmly nonexpansive maps, and
@@ -215,7 +216,8 @@ class ResolventConfig:
             raise ValueError("inner_max_iter must be >= 1")
 
 
-#: largest step of the damped fixed-point iteration
+#: first trial step of the fixed-point iteration, scaled by 1/(1+lam);
+#: later steps are the two-point estimate
 _DAMPING = 0.5
 
 
@@ -255,12 +257,17 @@ def resolvent_with_residual(
     * :class:`DistanceGradientField`: geodesic interpolation
       ``z = gamma(x -> anchor; lam*w / (1 + lam*w))``.
 
-    Everything else runs the damped fixed-point iteration
+    Everything else runs the fixed-point iteration
 
-        z_{k+1} = exp_{z_k}( eta * (log_{z_k} x - lam * a(z_k)) )
+        z_{k+1} = exp_{z_k}( eta_k * r_k ),   r_k = log_{z_k} x - lam * a(z_k)
 
-    with ``a`` the minimum-norm selection, backtracking on the residual
-    norm, starting from ``initial`` (default: x).
+    with ``a`` the minimum-norm selection, starting from ``initial``
+    (default: x).  The first trial step is ``eta = 0.5 / (1 + lam)``;
+    after each accepted step ``s = eta_k * r_k`` the next is the
+    two-point estimate ``<s, s> / -<s, r_{k+1} - r_k>`` on ambient
+    components, clamped to ``[1e-6, 1]``, or ``1.5 * eta_k`` (at most 1)
+    when that denominator is not positive.  A trial is accepted only if
+    it lowers the residual norm; otherwise the step halves.
     """
     z, residual, _ = _solve(field, cfg, x, initial)
     return z, residual
@@ -310,7 +317,7 @@ def _newton_resolvent_flat(
 ) -> tuple[ManifoldPoint, float, int] | None:
     """Damped Newton on ``z - x + lam*a(z) = 0`` for flat charts.
 
-    Shares its fixed points with the damped geometric iteration but
+    Shares its fixed points with the geometric iteration but
     converges quadratically, which matters for skew monotone fields
     (e.g. saddle fields) whose forward iterations stall at large lam.
     Returns None to fall back when a Jacobian is singular or no descent
@@ -364,7 +371,7 @@ def _iterate_resolvent(
     r = _residual_vector(field, cfg.lam, x, z)
     rn = norm(r)
     # scale the first step by 1/(1+lam): near-optimal for unit-curvature
-    # gradient fields, and the backtracking line below handles the rest
+    # gradient fields; the two-point step and the backtracking below do the rest
     eta = _DAMPING / (1.0 + cfg.lam)
     for k in range(cfg.inner_max_iter):
         if rn <= cfg.inner_tol:
@@ -384,8 +391,16 @@ def _iterate_resolvent(
             raise ResolventNonconvergence(
                 f"resolvent of {field.name} stalled", last_residual=rn, iterations=k
             )
+        # two-point (Barzilai-Borwein) step, clamped to [1e-6, 1], from the
+        # step s = eta*r just taken and the change of residual, on ambient
+        # components; a NaN estimate falls to the clamp's lower end
+        s = eta * r.components
+        sy = -float(s @ (r_new.components - r.components))
+        if sy > 0.0:
+            eta = min(1.0, max(1e-6, float(s @ s) / sy))
+        else:
+            eta = min(1.5 * eta, 1.0)
         z, r, rn = z_new, r_new, rn_new
-        eta = min(eta * 1.5, _DAMPING)
     if rn <= cfg.inner_tol:
         return z, rn, cfg.inner_max_iter
     raise ResolventNonconvergence(

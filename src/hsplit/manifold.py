@@ -225,14 +225,16 @@ class Manifold(ABC):
     """Common interface of the concrete Hadamard manifold instances.
 
     Subclasses implement the raw kernels (prefixed ``_``), which assume
-    finite input.  ``_validate_point``, ``_exp``, ``_log``, ``_dist`` and
-    ``_exp_sphere`` take points, so a space can read what a point caches
-    (:attr:`ManifoldPoint.self_product`); the others take coordinate
-    arrays.  Each check lives in one place: :meth:`point` and
-    :meth:`tangent` check finiteness and then the constraints
-    (``_validate_*``), :meth:`exp` the finiteness of its vector,
-    :meth:`exp`, :meth:`log`, :meth:`dist` and :meth:`exp_sphere` the
-    finiteness of their results, and :func:`attached` every base point.
+    finite input.  ``_validate_point``, ``_validate_exp_point``, ``_exp``,
+    ``_log``, ``_dist`` and ``_exp_sphere`` take points, so a space can
+    read what a point caches (:attr:`ManifoldPoint.self_product`); the
+    others take coordinate arrays.  Each check lives in one place:
+    :meth:`point` and :meth:`tangent` check finiteness and then the
+    constraints (``_validate_*``), :meth:`exp` the finiteness of its
+    vector, :meth:`exp`, :meth:`log`, :meth:`dist` and :meth:`exp_sphere`
+    the finiteness of their results, :meth:`exp` whether its result can
+    serve as a point (``_validate_exp_point``), and :func:`attached`
+    every base point.
     """
 
     # -- shape ---------------------------------------------------------
@@ -299,6 +301,9 @@ class Manifold(ABC):
     def _validate_tangent(self, x: np.ndarray, w: np.ndarray) -> None:
         """Raise GeometryError unless the finite components w are tangent at x."""
 
+    def _validate_exp_point(self, y: ManifoldPoint) -> None:
+        """Raise GeometryError unless the finite result y of :meth:`exp` is usable."""
+
     # -- construction ----------------------------------------------------
 
     def point(self, coords, *, project: bool = False) -> ManifoldPoint:
@@ -355,7 +360,9 @@ class Manifold(ABC):
         _require_finite(v.components, "tangent components")
         c = _as_coords(self._exp(x, v.components))
         _require_finite(c, "point coordinates from exp")
-        return ManifoldPoint(self, c)
+        y = ManifoldPoint(self, c)
+        self._validate_exp_point(y)
+        return y
 
     def exp_sphere(
         self, x: ManifoldPoint, directions: np.ndarray, radius: float
@@ -656,6 +663,15 @@ class Hyperboloid(Manifold):
             raise GeometryError("cannot project coordinates with non-timelike self-product")
         c = c / math.sqrt(-q)
         return c if c[0] > 0.0 else -c
+
+    def _validate_exp_point(self, y: ManifoldPoint) -> None:
+        # near radius 19.5 the projected coordinates round to a
+        # non-timelike self-product, on which dist and log are undefined;
+        # the product stays cached on y for them
+        if not y.self_product < 0.0:
+            raise GeometryError(
+                f"non-timelike point from exp: <y,y>_L = {y.self_product!r}"
+            )
 
     def _project_tangent(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         return w + self.minkowski(x, w) * x
@@ -962,6 +978,12 @@ class Product(Manifold):
     def _validate_point(self, x: ManifoldPoint) -> None:
         for f, p in zip(self.factors, self._parts(x)):
             f._validate_point(p)
+
+    def _validate_exp_point(self, y: ManifoldPoint) -> None:
+        if self.is_flat:  # flat factors check nothing; skip building the parts
+            return
+        for f, p in zip(self.factors, self._parts(y)):
+            f._validate_exp_point(p)
 
     def _project_point(self, c: np.ndarray) -> np.ndarray:
         return np.concatenate([f._project_point(c[s]) for f, s in zip(self.factors, self._slices)])

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hsplit import apps
+from hsplit import apps, fields
 from hsplit.fields import (
     DistanceGradientField,
     DomainError,
@@ -184,6 +184,30 @@ def test_resolvent_curved_generic_solver(rng):
         )
         assert res <= 1e-11
         assert resolvent_residual(field, lam, x, z) <= 1e-11
+
+
+@pytest.mark.parametrize("lam", [0.1, 10.0])
+def test_resolvent_two_point_step_inner_work(lam):
+    # the two-point step reads the step length from the last step taken,
+    # which takes 5 inner steps at lam 0.1 and 6 at lam 10.  lam = 1 takes
+    # 6 and is left unbounded: summed over a whole run it costs no more.
+    prob = apps.get_problem("hyper_dist")
+    cfg = ResolventConfig(lam=lam)
+    z, res, steps = fields._solve(prob.field, cfg, prob.x0)
+    assert res <= cfg.inner_tol
+    assert steps <= 6
+
+
+def test_resolvent_weak_field_at_lam_hi():
+    # 0.01 times a distance gradient, as a plain field, at the largest
+    # schedule lam: the resolvent is the midpoint toward the anchor
+    m = Hyperboloid(2)
+    a = m.base_point()
+    x = exp_map(a, m.tangent(a, [0.0, 1.0, 0.5]))
+    weak = VectorField(m, lambda p: (0.01 * -log_map(p, a),), name="weak")
+    z, res = resolvent_with_residual(weak, ResolventConfig(lam=100.0), x)
+    assert res <= 1e-10
+    assert dist(z, geodesic_point(x, a, 0.5)) < 1e-9
 
 
 def test_resolvent_nonconvergence_carries_residual():

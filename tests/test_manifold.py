@@ -159,6 +159,22 @@ def test_exp_hyperboloid_representable_radius(n):
         exp_map(base, h.tangent(base, 25.0 * direction))
 
 
+def test_exp_hyperboloid_non_timelike_result_rejected():
+    # just inside radius 19.5 the projected endpoint can round to a
+    # self-product of +0.973, on which dist and log would take the square
+    # root of a negative number; exp refuses it instead, also as a factor
+    h = Hyperboloid(2)
+    base = h.base_point()
+    r, th = 19.21187786299926, 3.3212242924482505
+    w = [0.0, r * math.cos(th), r * math.sin(th)]
+    with pytest.raises(GeometryError, match="non-timelike point from exp"):
+        h.exp(base, h.tangent(base, w))
+    prod = Product((Euclidean(1), h))
+    pbase = prod.base_point()
+    with pytest.raises(GeometryError, match="non-timelike point from exp"):
+        prod.exp(pbase, prod.tangent(pbase, [0.0, *w]))
+
+
 def test_exp_sphere_matches_random_tangent_then_exp(manifold, rng):
     # each row of the batch is the pair random_tangent + exp would give
     # for a generator drawing that row, bit for bit; SPD and the product
