@@ -30,7 +30,6 @@ from .fields import (
 )
 from .equilibrium import (
     Bifunction,
-    EquilibriumResolventConfig,
     check_assumptions,
     convex_difference,
     field_induced,

@@ -83,9 +83,11 @@ def _merged(args: argparse.Namespace, allowed: set[str]) -> dict[str, str]:
     return values
 
 
-def _float(values: dict[str, str], key: str, default: float) -> float:
+def _float(values: dict[str, str], key: str, default: float | None) -> float | None:
+    if key not in values:
+        return default
     try:
-        return float(values.get(key, default))
+        return float(values[key])
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number, got {values[key]!r}") from exc
 
@@ -95,6 +97,15 @@ def _int(values: dict[str, str], key: str, default: int) -> int:
         return int(values.get(key, default))
     except ValueError as exc:
         raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from exc
+
+
+def _bool(values: dict[str, str], key: str) -> bool:
+    text = values.get(key, "false").lower()
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no"):
+        return False
+    raise ConfigError(f"{key} must be true, false, 1, 0, yes or no, got {values[key]!r}")
 
 
 def _out_dir(args: argparse.Namespace, values: dict[str, str]) -> Path:
@@ -116,7 +127,7 @@ def _schedule_and_stop(values: dict[str, str]):
     stop = splitting.StoppingRule(
         max_iter=_int(values, "max_iter", 10_000),
         step_tol=_float(values, "tol", 1e-9),
-        ref_tol=float(values["ref_tol"]) if "ref_tol" in values else None,
+        ref_tol=_float(values, "ref_tol", None),
     )
     return schedule, stop
 
@@ -146,7 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_UNKNOWN_PROBLEM
     try:
         schedule, stop = _schedule_and_stop(values)
-        timing = values.get("timing", "false").lower() in ("1", "true", "yes")
+        timing = _bool(values, "timing")
         trace = splitting.run(
             problem, schedule, stop,
             algorithm=values.get("algorithm", "auto"),

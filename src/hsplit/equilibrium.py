@@ -34,6 +34,11 @@ its tangent v, so the certificate reads ``<log_z x, v>`` without a
 logarithm and costs one oracle call per probe beyond one batched
 :meth:`~hsplit.manifold.Manifold.exp_sphere`.  Such a bifunction needs
 at least one anchor.
+
+Both kinds share one config type: :func:`resolvent_T` takes the
+:class:`fields.ResolventConfig` of a field resolvent, reads its ``lam``
+as r, and returns the pair ``(z, residual)`` of that one solve.  Its
+``seed`` keyword seeds the certificate's probe draw.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ __all__ = [
     "convex_difference",
     "field_induced",
     "generic_bifunction",
-    "EquilibriumResolventConfig",
     "resolvent_T",
     "equilibrium_residual",
     "AssumptionReport",
@@ -87,10 +91,12 @@ _FD_STEP = 1e-5
 class Bifunction:
     """An equilibrium bifunction ``F: M x M -> R``.
 
-    The resolvent is the field resolvent of :attr:`resolvent_field`:
-    ``gradient_field`` when it is set, else the diagonal gradient of the
-    oracle.  Without ``gradient_field`` the result is certified on the
-    ``anchors`` plus 64 sampled probes, so at least one anchor is needed.
+    The resolvent (:func:`resolvent_T`) is the field resolvent of
+    :attr:`resolvent_field`: ``gradient_field`` when it is set, else the
+    diagonal gradient of the oracle.  It returns the point and the
+    residual of that one solve.  Without ``gradient_field`` the point is
+    certified on the ``anchors`` plus 64 sampled probes, so at least one
+    anchor is needed.
     """
 
     def __init__(
@@ -214,24 +220,6 @@ def generic_bifunction(
     )
 
 
-@dataclass(frozen=True)
-class EquilibriumResolventConfig:
-    """Regularization parameter and solver budget for the bifunction resolvent."""
-
-    r: float = 1.0
-    inner_tol: float = 1e-10
-    inner_max_iter: int = 500
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r < math.inf:
-            raise ValueError("resolvent parameter r must be positive and finite")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
-        if self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be >= 1")
-
-
 def equilibrium_residual(
     bifun: Bifunction,
     z: ManifoldPoint,
@@ -279,45 +267,41 @@ def _certificate_normals(seed: int, ambient_dim: int) -> np.ndarray:
 
 
 def _certificate_probes(
-    bifun: Bifunction, z: ManifoldPoint, cfg: EquilibriumResolventConfig
+    bifun: Bifunction, z: ManifoldPoint, seed: int
 ) -> tuple[tuple[ManifoldPoint, ...], list[tuple[TangentVector, ManifoldPoint]]]:
     """The anchors, and the 64 sampled ``(v, exp_z v)`` pairs at radius 0.1."""
-    normals = _certificate_normals(cfg.seed, z.manifold.ambient_dim)
+    normals = _certificate_normals(seed, z.manifold.ambient_dim)
     return bifun.anchors, z.manifold.exp_sphere(z, normals, _CERT_RADIUS)
 
 
 def resolvent_T(
-    bifun: Bifunction, cfg: EquilibriumResolventConfig, x: ManifoldPoint
-) -> ManifoldPoint:
-    """Resolvent of an equilibrium bifunction at x.
+    bifun: Bifunction, cfg: fields.ResolventConfig, x: ManifoldPoint, *, seed: int = 0
+) -> tuple[ManifoldPoint, float]:
+    """Resolvent of an equilibrium bifunction at x, with its residual.
 
     One solve of the field resolvent of ``bifun.resolvent_field`` with
-    step r.  Without a ``gradient_field`` that field is the oracle's
-    diagonal gradient, and the result must then pass the regularized
-    variational inequality on the anchors plus 64 probes sampled at
-    radius 0.1; a failure raises :class:`fields.ResolventNonconvergence`
-    with the steps run.  Such a bifunction without anchors is refused.
+    step ``r = cfg.lam``; returns the point and the resolvent residual
+    the solver reached.  Without a ``gradient_field`` that field is the
+    oracle's diagonal gradient, and the result must then pass the
+    regularized variational inequality on the anchors plus 64 probes
+    sampled at radius 0.1 from the generator seeded with ``seed``; a
+    failure raises :class:`fields.ResolventNonconvergence` with the
+    steps run.  Such a bifunction without anchors is refused.
     """
-    if x.manifold != bifun.manifold:
-        raise GeometryError("query point is not on the bifunction's manifold")
-    field_cfg = fields.ResolventConfig(
-        lam=cfg.r, inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter
-    )
-    if bifun.gradient_field is not None:
-        return fields.resolvent(bifun.gradient_field, field_cfg, x)
-
-    if not bifun.anchors:
+    raw = bifun.gradient_field is None
+    if raw and not bifun.anchors:
         raise EquilibriumError(f"generic bifunction {bifun.name} needs at least one anchor")
-    z, _, steps = fields._solve(bifun.resolvent_field, field_cfg, x)
-    probes, sampled = _certificate_probes(bifun, z, cfg)
-    residual = equilibrium_residual(bifun, z, probes, x=x, r=cfg.r, sampled=sampled)
-    if residual < -cfg.inner_tol:
-        raise fields.ResolventNonconvergence(
-            f"equilibrium resolvent of {bifun.name} failed its certificate",
-            last_residual=-residual,
-            iterations=steps,
-        )
-    return z
+    z, residual, steps = fields._solve(bifun.resolvent_field, cfg, x)
+    if raw:
+        probes, sampled = _certificate_probes(bifun, z, seed)
+        margin = equilibrium_residual(bifun, z, probes, x=x, r=cfg.lam, sampled=sampled)
+        if margin < -cfg.inner_tol:
+            raise fields.ResolventNonconvergence(
+                f"equilibrium resolvent of {bifun.name} failed its certificate",
+                last_residual=-margin,
+                iterations=steps,
+            )
+    return z, residual
 
 
 @dataclass(frozen=True)

@@ -684,7 +684,7 @@ class Hyperboloid(Manifold):
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         return self.minkowski(u, v)
 
-    def _exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         # The endpoint is exp of the exact tangential part of v taken at
         # the exact radial normalization of x.  Defects of the stored
         # data (the timelike component m = <x,v>_L, the off-shell factor
@@ -696,8 +696,8 @@ class Hyperboloid(Manifold):
         # _exp_sphere repeats these steps row-wise, bit for bit
         ld = np.longdouble
         qx = ld(x.self_product)
-        x = x.coords
-        m = ld(self.minkowski_exact(x, v))
+        xc = x.coords
+        m = ld(self.minkowski_exact(xc, v))
         n2 = ld(self.minkowski_exact(v, v)) - m * m / qx
         if n2 <= 0.0:
             n = ld(0.0)
@@ -710,7 +710,7 @@ class Hyperboloid(Manifold):
             else:
                 s = np.sinh(n) / n
         a = np.cosh(n) / np.sqrt(-qx) - s * m / qx
-        c = a * x.astype(ld) + s * v.astype(ld)
+        c = a * xc.astype(ld) + s * v.astype(ld)
         return self._project_point(np.asarray(c, dtype=float))
 
     def _exp_sphere(

@@ -449,11 +449,8 @@ def _bifun_resolve(
 ) -> tuple[ManifoldPoint, float]:
     if problem.bifunction is None:
         return y, 0.0
-    cfg = eq.EquilibriumResolventConfig(
-        r=r, inner_tol=inner_tol, inner_max_iter=inner_max_iter, seed=seed
-    )
-    z = eq.resolvent_T(problem.bifunction, cfg, y)
-    return z, fields.resolvent_residual(problem.bifunction.resolvent_field, r, y, z)
+    cfg = fields.ResolventConfig(lam=r, inner_tol=inner_tol, inner_max_iter=inner_max_iter)
+    return eq.resolvent_T(problem.bifunction, cfg, y, seed=seed)
 
 
 def algorithm1_step(
@@ -547,9 +544,13 @@ def run(
     The per-iteration resolvent tolerance tightens with the consecutive
     step distance so inner error cannot mask outer convergence.  A
     resolvent failure or a :class:`GeometryError` inside a step aborts
-    the run and is recorded in the trace rather than raised.  The schedule is checked against its bounds up to
-    ``max(stop.max_iter, 1)`` first (once, for a constant schedule); a
-    violation raises :class:`ScheduleError`.
+    the run and is recorded in the trace rather than raised.
+
+    Before any iteration, an ``algorithm`` that needs a part the problem
+    lacks (``"inclusion"`` without a field, ``"equilibrium"`` without a
+    bifunction) raises :class:`ValueError`, and the schedule is checked
+    against its bounds up to ``max(stop.max_iter, 1)`` (once, for a
+    constant schedule); a violation raises :class:`ScheduleError`.
     """
     if algorithm == "auto":
         algorithm = choose_algorithm(problem)
@@ -558,6 +559,10 @@ def run(
     except KeyError:
         raise ValueError(f"unknown algorithm {algorithm!r}; options: auto, "
                          + ", ".join(_STEP_FUNCTIONS)) from None
+    if algorithm == "inclusion" and problem.field is None:
+        raise ValueError("inclusion iteration needs a vector field")
+    if algorithm == "equilibrium" and problem.bifunction is None:
+        raise ValueError("equilibrium iteration needs a bifunction")
     report = validate_schedule(schedule, max(stop.max_iter, 1))
     if not report.passed:
         raise ScheduleError(str(report))

@@ -306,8 +306,8 @@ def equilibrium_suite(seed: int) -> list[PropertyResult]:
 
     worst_firm = -math.inf
     for bf in lib:
-        cfg = eq.EquilibriumResolventConfig(r=1.0, inner_tol=1e-12, inner_max_iter=2000)
-        mapping = lambda p, bf=bf, cfg=cfg: eq.resolvent_T(bf, cfg, p)
+        cfg = fields.ResolventConfig(lam=1.0, inner_tol=1e-12, inner_max_iter=2000)
+        mapping = lambda p, bf=bf, cfg=cfg: eq.resolvent_T(bf, cfg, p)[0]
         for _ in range(10):
             x, y = _pair(bf.manifold, rng, 2.0)
             rep = fields.check_firmly_nonexpansive(mapping, x, y)
@@ -317,13 +317,13 @@ def equilibrium_suite(seed: int) -> list[PropertyResult]:
     worst_fix = 0.0
     worst_move = math.inf
     for bf in lib:
-        cfg = eq.EquilibriumResolventConfig(r=1.0, inner_tol=1e-12, inner_max_iter=2000)
+        cfg = fields.ResolventConfig(lam=1.0, inner_tol=1e-12, inner_max_iter=2000)
         for star in bf.known_equilibria:
-            worst_fix = max(worst_fix, dist(eq.resolvent_T(bf, cfg, star), star))
+            worst_fix = max(worst_fix, dist(eq.resolvent_T(bf, cfg, star)[0], star))
         for _ in range(5):
             x = bf.manifold.random_point(rng, 2.0)
             if bf.known_equilibria and dist(x, bf.known_equilibria[0]) > 0.5:
-                worst_move = min(worst_move, dist(eq.resolvent_T(bf, cfg, x), x))
+                worst_move = min(worst_move, dist(eq.resolvent_T(bf, cfg, x)[0], x))
     out.append(_upper("equilibrium", "fixed_points_are_equilibria", worst_fix, 1e-8))
     out.append(_lower("equilibrium", "non_equilibria_move", worst_move, 1e-6))
 
@@ -332,16 +332,16 @@ def equilibrium_suite(seed: int) -> list[PropertyResult]:
     bf = eq.convex_difference(e1, lambda x: 0.5 * float(x.coords @ x.coords), g_field)
     worst_prox = 0.0
     for r in (0.1, 0.5, 1.0, 2.0, 10.0):
-        cfg = eq.EquilibriumResolventConfig(r=r, inner_tol=1e-12)
+        cfg = fields.ResolventConfig(lam=r, inner_tol=1e-12)
         for _ in range(10):
             x = e1.random_point(rng, 4.0)
-            z = eq.resolvent_T(bf, cfg, x)
+            z, _ = eq.resolvent_T(bf, cfg, x)
             worst_prox = max(worst_prox, abs(z.coords[0] - x.coords[0] / (1.0 + r)))
     out.append(_upper("equilibrium", "prox_oracle_match", worst_prox, 1e-8))
 
     domain_failures = 0
     for bf in lib:
-        cfg = eq.EquilibriumResolventConfig(r=1.0, inner_tol=1e-10, inner_max_iter=2000)
+        cfg = fields.ResolventConfig(lam=1.0, inner_tol=1e-10, inner_max_iter=2000)
         for _ in range(40):
             x = bf.manifold.random_point(rng, 3.0)
             try:
@@ -357,17 +357,10 @@ def equilibrium_suite(seed: int) -> list[PropertyResult]:
             continue
         for _ in range(5):
             x = bf.manifold.random_point(rng, 2.0)
-            gaps = [
-                dist(
-                    eq.resolvent_T(
-                        bf,
-                        eq.EquilibriumResolventConfig(r=r, inner_tol=1e-12, inner_max_iter=2000),
-                        x,
-                    ),
-                    x,
-                )
-                for r in grid
-            ]
+            gaps = []
+            for r in grid:
+                cfg = fields.ResolventConfig(lam=r, inner_tol=1e-12, inner_max_iter=2000)
+                gaps.append(dist(eq.resolvent_T(bf, cfg, x)[0], x))
             for lo, hi in zip(gaps, gaps[1:]):
                 worst_r_mono = max(worst_r_mono, lo - hi)
     out.append(_upper("equilibrium", "prox_step_monotone_in_r", worst_r_mono, 1e-9))

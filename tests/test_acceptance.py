@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from hsplit import apps
-from hsplit.equilibrium import EquilibriumResolventConfig, resolvent_T
+from hsplit.equilibrium import resolvent_T
 from hsplit.fields import (
     DistanceGradientField,
     LinearField,
@@ -209,8 +209,8 @@ def test_criterion_3_equilibrium_suite():
 
     worst_firm = -math.inf
     for bf in shipped_bifunctions():
-        cfg = EquilibriumResolventConfig(r=1.0, inner_tol=1e-12, inner_max_iter=4000)
-        mapping = lambda p, bf=bf, cfg=cfg: resolvent_T(bf, cfg, p)
+        cfg = ResolventConfig(lam=1.0, inner_tol=1e-12, inner_max_iter=4000)
+        mapping = lambda p, bf=bf, cfg=cfg: resolvent_T(bf, cfg, p)[0]
         for _ in range(100):
             x = bf.manifold.random_point(rng, 2.0)
             y = bf.manifold.random_point(rng, 2.0)
@@ -219,27 +219,27 @@ def test_criterion_3_equilibrium_suite():
 
     worst_fixed = 0.0
     for bf in shipped_bifunctions():
-        cfg = EquilibriumResolventConfig(r=1.0, inner_tol=1e-12, inner_max_iter=4000)
+        cfg = ResolventConfig(lam=1.0, inner_tol=1e-12, inner_max_iter=4000)
         for star in bf.known_equilibria:
-            worst_fixed = max(worst_fixed, dist(resolvent_T(bf, cfg, star), star))
+            worst_fixed = max(worst_fixed, dist(resolvent_T(bf, cfg, star)[0], star))
 
     # convex-difference resolvents against independent proximal oracles
     worst_prox = 0.0
     e1 = Euclidean(1)
     bf = apps.get_problem("euclid_quad").bifunction
     for r in (0.5, 1.0, 2.0):
-        cfg = EquilibriumResolventConfig(r=r, inner_tol=1e-12)
+        cfg = ResolventConfig(lam=r, inner_tol=1e-12)
         for _ in range(20):
             x = e1.random_point(rng, 4.0)
-            z = resolvent_T(bf, cfg, x)
+            z, _ = resolvent_T(bf, cfg, x)
             worst_prox = max(worst_prox, abs(z.coords[0] - x.coords[0] / (1.0 + r)))
     hyper = apps.get_problem("hyper_dist")
     p_anchor = hyper.reference_solution
     for r in (0.5, 1.0, 2.0):
-        cfg = EquilibriumResolventConfig(r=r, inner_tol=1e-12)
+        cfg = ResolventConfig(lam=r, inner_tol=1e-12)
         for _ in range(20):
             x = hyper.manifold.random_point(rng, 2.0)
-            z = resolvent_T(hyper.bifunction, cfg, x)
+            z, _ = resolvent_T(hyper.bifunction, cfg, x)
             oracle = geodesic_point(x, p_anchor, r / (1.0 + r))
             worst_prox = max(worst_prox, dist(z, oracle))
 

@@ -92,6 +92,28 @@ def test_run_bad_config_exit_64(tmp_path):
     assert run_cli("bench", "--config", str(config), "--out", str(tmp_path)) == 64
 
 
+@pytest.mark.parametrize("value, timed", [("TRUE", True), ("yes", True), ("1", True),
+                                          ("False", False), ("no", False), ("0", False)])
+def test_run_config_timing_values(tmp_path, value, timed):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"problem = euclid_quad\ntiming = {value}\n")
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path)) == 0
+    meta = json.loads((tmp_path / "euclid_quad_meta.json").read_text())
+    assert ("total_wall_ms" in meta) == timed
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("timing", "ture", "config error: timing must be true, false, 1, 0, yes or no, got 'ture'"),
+    ("ref_tol", "abc", "config error: ref_tol must be a number, got 'abc'"),
+], ids=["timing", "ref_tol"])
+def test_run_bad_config_value_exit_64(tmp_path, capsys, key, value, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"problem = euclid_quad\n{key} = {value}\n")
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 64
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_env_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("HSPLIT_OUT_DIR", str(tmp_path / "env_out"))
     assert run_cli("run", "--problem", "euclid_quad") == 0

@@ -7,8 +7,6 @@ firm nonexpansiveness, fixed points = equilibria, full domain) on the
 shipped bifunction zoo.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from hsplit import apps, fields
 from hsplit.equilibrium import (
     Bifunction,
     EquilibriumError,
-    EquilibriumResolventConfig,
     check_assumptions,
     convex_difference,
     field_induced,
@@ -27,6 +24,7 @@ from hsplit.equilibrium import (
 from hsplit.fields import (
     DistanceGradientField,
     LinearField,
+    ResolventConfig,
     check_firmly_nonexpansive,
     monotonicity_slack,
 )
@@ -98,7 +96,7 @@ def test_eval_nonfinite_surfaced():
 def test_resolvent_quadratic_prox():
     m = Euclidean(1)
     bf = half_norm_sq_bifunction(m)
-    z = resolvent_T(bf, EquilibriumResolventConfig(r=1.0), m.point([2.0]))
+    z, _ = resolvent_T(bf, ResolventConfig(lam=1.0), m.point([2.0]))
     assert abs(z.coords[0] - 1.0) < 1e-12  # z = x / (1 + r)
 
 
@@ -108,20 +106,20 @@ def test_resolvent_field_induced_midpoint(rng):
     bf = field_induced(DistanceGradientField(p))
     for _ in range(10):
         x = m.random_point(rng, 2.0)
-        z = resolvent_T(bf, EquilibriumResolventConfig(r=1.0), x)
+        z, _ = resolvent_T(bf, ResolventConfig(lam=1.0), x)
         assert dist(z, geodesic_point(x, p, 0.5)) < 1e-8
 
 
 def test_resolvent_fixes_equilibrium_points(rng):
     for bf in library_bifunctions():
-        cfg = EquilibriumResolventConfig(r=1.0, inner_tol=1e-12, inner_max_iter=2000)
+        cfg = ResolventConfig(lam=1.0, inner_tol=1e-12, inner_max_iter=2000)
         for star in bf.known_equilibria:
-            assert dist(resolvent_T(bf, cfg, star), star) <= 1e-8
+            assert dist(resolvent_T(bf, cfg, star)[0], star) <= 1e-8
         # and nothing sampled away from the equilibrium stays put
         for _ in range(5):
             x = bf.manifold.random_point(rng, 2.0)
             if bf.known_equilibria and dist(x, bf.known_equilibria[0]) > 0.5:
-                assert dist(resolvent_T(bf, cfg, x), x) > 1e-6
+                assert dist(resolvent_T(bf, cfg, x)[0], x) > 1e-6
 
 
 def test_resolvent_generic_sampled_matches_prox_oracle(rng):
@@ -135,9 +133,9 @@ def test_resolvent_generic_sampled_matches_prox_oracle(rng):
         name="sampled_quadratic",
         anchors=(m.base_point(),),
     )
-    cfg = EquilibriumResolventConfig(r=1.0, inner_tol=1e-8, inner_max_iter=200)
+    cfg = ResolventConfig(lam=1.0, inner_tol=1e-8, inner_max_iter=200)
     for x0 in (2.0, -1.5, 0.5):
-        z = resolvent_T(bf, cfg, m.point([x0]))
+        z, _ = resolvent_T(bf, cfg, m.point([x0]))
         assert abs(z.coords[0] - x0 / 2.0) < 1e-6
 
     # off flat charts the same diagonal resolvent runs the damped
@@ -153,16 +151,16 @@ def test_resolvent_generic_sampled_matches_prox_oracle(rng):
 
     bf = generic_bifunction(h, oracle, name="sampled_half_sq_dist", anchors=(a,))
     for r in (0.1, 0.5, 1.0, 20.0):
-        cfg = EquilibriumResolventConfig(r=r, inner_tol=1e-8, inner_max_iter=200)
-        field_cfg = fields.ResolventConfig(lam=r, inner_tol=1e-8, inner_max_iter=200)
+        cfg = ResolventConfig(lam=r, inner_tol=1e-8, inner_max_iter=200)
         for _ in range(3):
             x = h.random_point(rng, 2.0)
             calls["n"] = 0
-            fields.resolvent(bf.resolvent_field, field_cfg, x)
+            _, solve_residual = fields.resolvent_with_residual(bf.resolvent_field, cfg, x)
             solve_calls = calls["n"]
             calls["n"] = 0
-            z = resolvent_T(bf, cfg, x)
+            z, residual = resolvent_T(bf, cfg, x)
             assert dist(z, geodesic_point(x, a, r / (1.0 + r))) < 1e-6
+            assert residual == solve_residual
             assert calls["n"] == solve_calls + 64 + len(bf.anchors)
 
 
@@ -172,9 +170,8 @@ def test_certificate_probes_match_sequential_draws(m, rng):
     # per-probe random_tangent + exp_map sequence of a reseeded generator
     z = m.random_point(rng, 1.5)
     for seed in (0, 7):
-        cfg = EquilibriumResolventConfig(seed=seed)
         bf = generic_bifunction(m, lambda x, y: 0.0, anchors=(m.base_point(),))
-        probes, sampled = _certificate_probes(bf, z, cfg)
+        probes, sampled = _certificate_probes(bf, z, seed)
         assert len(probes) == 1 and len(sampled) == 64
         sequential = np.random.default_rng(seed)
         for v, y in sampled:
@@ -195,14 +192,13 @@ def test_resolvent_dispatches_on_gradient_field():
 
     field = LinearField(m, np.eye(1))
     bf = Bifunction(m, oracle, gradient_field=field)
-    cfg = EquilibriumResolventConfig(r=2.0, inner_tol=1e-12)
+    cfg = ResolventConfig(lam=2.0, inner_tol=1e-12)
     for x0 in (3.0, -1.0):
         x = m.point([x0])
-        z = resolvent_T(bf, cfg, x)
-        expected = fields.resolvent(
-            field, fields.ResolventConfig(lam=2.0, inner_tol=1e-12), x
-        )
+        z, residual = resolvent_T(bf, cfg, x)
+        expected, expected_residual = fields.resolvent_with_residual(field, cfg, x)
         assert np.array_equal(z.coords, expected.coords)
+        assert residual == expected_residual
     assert calls["n"] == 0
 
 
@@ -217,7 +213,7 @@ def test_resolvent_certificate_failure_reports_rounds_run():
         name="sign_flipped",
         anchors=(m.base_point(),),
     )
-    cfg = EquilibriumResolventConfig(r=0.5)
+    cfg = ResolventConfig(lam=0.5)
     with pytest.raises(fields.ResolventNonconvergence, match="failed its certificate") as info:
         resolvent_T(bf, cfg, m.point([1.0]))
     assert 0 < info.value.iterations < cfg.inner_max_iter
@@ -227,23 +223,7 @@ def test_resolvent_generic_requires_directions():
     m = Euclidean(1)
     bf = generic_bifunction(m, lambda x, y: 0.0, name="no_anchors")
     with pytest.raises(EquilibriumError, match="needs at least one anchor"):
-        resolvent_T(bf, EquilibriumResolventConfig(r=1.0, inner_tol=1e-6), m.point([1.0]))
-
-
-def test_resolvent_config_validation():
-    with pytest.raises(ValueError):
-        EquilibriumResolventConfig(r=0.0)
-    with pytest.raises(ValueError):
-        EquilibriumResolventConfig(inner_tol=0.0)
-
-
-@pytest.mark.parametrize(
-    "kwargs", [{"r": math.nan}, {"r": math.inf}, {"inner_tol": math.nan}],
-    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
-)
-def test_resolvent_config_refuses_nonfinite(kwargs):
-    with pytest.raises(ValueError):
-        EquilibriumResolventConfig(**kwargs)
+        resolvent_T(bf, ResolventConfig(lam=1.0, inner_tol=1e-6), m.point([1.0]))
 
 
 # -- check_assumptions -------------------------------------------------------------
@@ -302,8 +282,8 @@ def test_assumptions_sign_flip_detected(rng):
 
 def test_resolvent_firmly_nonexpansive_per_bifunction(rng):
     for bf in library_bifunctions():
-        cfg = EquilibriumResolventConfig(r=1.0, inner_tol=1e-12, inner_max_iter=2000)
-        mapping = lambda p: resolvent_T(bf, cfg, p)
+        cfg = ResolventConfig(lam=1.0, inner_tol=1e-12, inner_max_iter=2000)
+        mapping = lambda p: resolvent_T(bf, cfg, p)[0]
         for _ in range(20):
             x = bf.manifold.random_point(rng, 2.0)
             y = bf.manifold.random_point(rng, 2.0)
@@ -313,7 +293,7 @@ def test_resolvent_firmly_nonexpansive_per_bifunction(rng):
 
 def test_resolvent_full_domain(rng):
     for bf in library_bifunctions():
-        cfg = EquilibriumResolventConfig(r=1.0, inner_tol=1e-10, inner_max_iter=2000)
+        cfg = ResolventConfig(lam=1.0, inner_tol=1e-10, inner_max_iter=2000)
         for _ in range(140):  # ~1000 samples across the seven shipped bifunctions
             x = bf.manifold.random_point(rng, 3.0)
             resolvent_T(bf, cfg, x)  # must not raise a domain error
@@ -329,10 +309,8 @@ def test_prox_step_monotone_in_r(rng):
             gaps = [
                 dist(
                     resolvent_T(
-                        bf,
-                        EquilibriumResolventConfig(r=r, inner_tol=1e-12, inner_max_iter=2000),
-                        x,
-                    ),
+                        bf, ResolventConfig(lam=r, inner_tol=1e-12, inner_max_iter=2000), x
+                    )[0],
                     x,
                 )
                 for r in grid

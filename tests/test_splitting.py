@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from hsplit import apps
+from hsplit import apps, equilibrium
 from hsplit.equilibrium import convex_difference, field_induced, generic_bifunction
 from hsplit.fields import DistanceGradientField, LinearField, VectorField, resolvent_residual
 from hsplit.manifold import SPD, Euclidean, Hyperboloid, TangentVector, dist, log_map
@@ -119,6 +119,72 @@ def test_specialized_steps_require_their_component():
     assert choose_algorithm(prob_field) == "inclusion"
     assert choose_algorithm(prob_bifun) == "equilibrium"
     assert choose_algorithm(euclid_quad()) == "common"
+
+
+@pytest.mark.parametrize("manifold", [Euclidean(2), Hyperboloid(2)], ids=lambda m: m.tag)
+def test_step_calls_raw_oracle_only_inside_its_resolvent(manifold, monkeypatch):
+    # res_F is the residual the bifunction resolvent returned: the step
+    # makes no oracle call, and so no finite difference, outside it
+    anchor = manifold.base_point()
+    x0 = manifold.exp(anchor, manifold.tangent_basis(anchor)[0])
+    calls = {"n": 0}
+
+    def oracle(x, y):
+        calls["n"] += 1
+        return 0.5 * dist(y, anchor) ** 2 - 0.5 * dist(x, anchor) ** 2
+
+    bf = generic_bifunction(manifold, oracle, anchors=(anchor,))
+    prob = ProblemInstance(manifold, x0, field=DistanceGradientField(anchor), bifunction=bf)
+    inside = []
+    resolvent_T = equilibrium.resolvent_T
+
+    def counting(*args, **kwargs):
+        before = calls["n"]
+        result = resolvent_T(*args, **kwargs)
+        inside.append(calls["n"] - before)
+        return result
+
+    monkeypatch.setattr(equilibrium, "resolvent_T", counting)
+    algorithm1_step(prob, DEFAULT_SCHEDULE, 0, x0)
+    assert len(inside) == 1 and inside[0] > 0
+    assert calls["n"] == inside[0]
+
+
+def test_step_evaluates_bifunction_field_once(monkeypatch):
+    # hyper_dist's bifunction resolvent is a closed form; its residual
+    # needs the one field value the solver already took
+    prob = apps.get_problem("hyper_dist")
+    field = prob.bifunction.gradient_field
+    assert isinstance(field, DistanceGradientField)
+    calls = {"n": 0}
+    evaluate = field.evaluate
+
+    def counting(x):
+        calls["n"] += 1
+        return evaluate(x)
+
+    monkeypatch.setattr(field, "evaluate", counting)
+    algorithm1_step(prob, DEFAULT_SCHEDULE, 0, prob.x0)
+    assert calls["n"] == 1
+
+
+@pytest.mark.parametrize("max_iter", [0, 5])
+def test_run_refuses_algorithm_missing_its_part(max_iter):
+    # checked before the schedule and the loop, whatever the budget
+    m = Euclidean(1)
+    field = LinearField(m, np.eye(1))
+    prob_field = ProblemInstance(m, m.point([1.0]), field=field)
+    prob_bifun = ProblemInstance(
+        m, m.point([1.0]),
+        bifunction=convex_difference(m, lambda x: 0.5 * float(x.coords @ x.coords), field),
+    )
+    bad = StepSchedule.constant(alpha=0.999, bounds=ScheduleBounds(b=0.99))
+    for schedule in (DEFAULT_SCHEDULE, bad):
+        stop = StoppingRule(max_iter=max_iter)
+        with pytest.raises(ValueError, match="needs a bifunction"):
+            run(prob_field, schedule, stop, algorithm="equilibrium")
+        with pytest.raises(ValueError, match="needs a vector field"):
+            run(prob_bifun, schedule, stop, algorithm="inclusion")
 
 
 # -- schedules -----------------------------------------------------------------------
