@@ -38,7 +38,6 @@ from .manifold import (
     TangentVector,
     dist,
     exp_map,
-    geodesic_point,
     inner,
     log_map,
     norm,
@@ -161,8 +160,9 @@ def _spot_check_convexity(
     """Return (t, violation) of the worst convexity gap along [x, y], if any."""
     f0, f1 = value(x), value(y)
     worst = None
-    for t in np.linspace(0.0, 1.0, _CONVEXITY_GRID)[1:-1]:
-        ft = value(geodesic_point(x, y, float(t)))
+    ts = np.linspace(0.0, 1.0, _CONVEXITY_GRID)[1:-1]
+    for t, p in zip(ts, x.manifold.geodesic_points(x, y, ts)):
+        ft = value(p)
         gap = ft - ((1.0 - t) * f0 + t * f1)
         if gap > _CHECK_TOL and (worst is None or gap > worst[1]):
             worst = (float(t), float(gap))
@@ -214,11 +214,8 @@ def subdifferential_field(
         known_zeros=prog.known_minimizers,
     )
     if check:
-        pairs = [
-            (man.random_point(rng, _CHECK_SPREAD), man.random_point(rng, _CHECK_SPREAD))
-            for _ in range(_MONOTONE_PAIRS)
-        ]
-        report = fields.check_monotone(vf, pairs)
+        points = man.random_points(rng, 2 * _MONOTONE_PAIRS, _CHECK_SPREAD)
+        report = fields.check_monotone(vf, list(zip(points[::2], points[1::2])))
         if not report.passed:
             raise RegistrationError(
                 f"subdifferential of {prog.name} failed a monotonicity spot check: {report}",
@@ -397,11 +394,8 @@ def saddle_field(
         known_zeros=zeros,
     )
     if check:
-        pairs = [
-            (prod.random_point(rng, _CHECK_SPREAD), prod.random_point(rng, _CHECK_SPREAD))
-            for _ in range(_MONOTONE_PAIRS)
-        ]
-        report = fields.check_monotone(vf, pairs)
+        points = prod.random_points(rng, 2 * _MONOTONE_PAIRS, _CHECK_SPREAD)
+        report = fields.check_monotone(vf, list(zip(points[::2], points[1::2])))
         if not report.passed:
             raise RegistrationError(
                 f"saddle field of {sp.name} failed a monotonicity spot check: {report}",

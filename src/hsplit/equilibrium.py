@@ -58,7 +58,6 @@ from .manifold import (
     ManifoldPoint,
     TangentVector,
     exp_map,
-    geodesic_point,
     inner,
     log_map,
 )
@@ -352,8 +351,7 @@ def check_assumptions(
         diag = max(diag, abs(bifun.eval(x, x)), abs(bifun.eval(y, y)))
         mono = max(mono, bifun.eval(x, y) + bifun.eval(y, x))
         f0, f1 = bifun.eval(x, x), bifun.eval(x, y)
-        for t in ts[1:-1]:
-            mid = geodesic_point(x, y, float(t))
+        for t, mid in zip(ts[1:-1], x.manifold.geodesic_points(x, y, ts[1:-1])):
             gap = bifun.eval(x, mid) - ((1.0 - t) * f0 + t * f1)
             convexity = max(convexity, float(gap))
     passed = (

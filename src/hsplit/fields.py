@@ -267,7 +267,9 @@ def resolvent_with_residual(
     two-point estimate ``<s, s> / -<s, r_{k+1} - r_k>`` on ambient
     components, clamped to ``[1e-6, 1]``, or ``1.5 * eta_k`` (at most 1)
     when that denominator is not positive.  A trial is accepted only if
-    it lowers the residual norm; otherwise the step halves.
+    it lowers the residual norm; otherwise the step halves.  A trial
+    whose ``exp`` or residual raises :class:`GeometryError` is rejected
+    the same way.
     """
     z, residual, _ = _solve(field, cfg, x, initial)
     return z, residual
@@ -378,9 +380,13 @@ def _iterate_resolvent(
             return z, rn, k
         accepted = False
         for _ in range(60):
-            z_new = exp_map(z, eta * r)
-            r_new = _residual_vector(field, cfg.lam, x, z_new)
-            rn_new = norm(r_new)
+            try:
+                z_new = exp_map(z, eta * r)
+                r_new = _residual_vector(field, cfg.lam, x, z_new)
+                rn_new = norm(r_new)
+            except GeometryError:
+                # a trial past the float range of the chart is a rejected trial
+                rn_new = math.inf
             if rn_new < rn:
                 accepted = True
                 break

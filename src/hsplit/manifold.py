@@ -98,11 +98,12 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
     return p, err
 
 
-def _sphere_scale(n2: np.ndarray, radius: float) -> np.ndarray:
-    # per-row factor taking squared norms n2 to `radius`, as random_tangent computes it
+def _sphere_scale(n2: np.ndarray, radii: float | np.ndarray) -> np.ndarray:
+    # per-row factor taking squared norms n2 to `radii` (one, or one per
+    # row), as random_tangent computes it
     if not np.all(n2 > _MIN_SAMPLE_NORM2):
         raise GeometryError("a sphere direction has no tangential part")
-    return radius / np.sqrt(n2)
+    return radii / np.sqrt(n2)
 
 
 def _finite_sum(terms: list[float]) -> float:
@@ -226,15 +227,19 @@ class Manifold(ABC):
 
     Subclasses implement the raw kernels (prefixed ``_``), which assume
     finite input.  ``_validate_point``, ``_validate_exp_point``, ``_exp``,
-    ``_log``, ``_dist`` and ``_exp_sphere`` take points, so a space can
-    read what a point caches (:attr:`ManifoldPoint.self_product`); the
-    others take coordinate arrays.  Each check lives in one place:
-    :meth:`point` and :meth:`tangent` check finiteness and then the
-    constraints (``_validate_*``), :meth:`exp` the finiteness of its
-    vector, :meth:`exp`, :meth:`log`, :meth:`dist` and :meth:`exp_sphere`
-    the finiteness of their results, :meth:`exp` whether its result can
-    serve as a point (``_validate_exp_point``), and :func:`attached`
-    every base point.
+    ``_exp_rows``, ``_tangent_rows``, ``_log`` and ``_dist`` take
+    points, so a space can read what a point caches
+    (:attr:`ManifoldPoint.self_product`); the others take coordinate
+    arrays.  Each check lives in one place: :meth:`point` and
+    :meth:`tangent` check finiteness and then the constraints
+    (``_validate_*``), :meth:`exp` and ``_exp_points`` the finiteness of
+    their vectors and whether each result can serve as a point
+    (``_validate_exp_point``), :meth:`log`, :meth:`dist` and
+    :meth:`exp_sphere` the finiteness of their results, and
+    :func:`attached` every base point.  ``_exp_points`` is the batched
+    :meth:`exp` behind :meth:`exp_sphere`, :meth:`geodesic_points` and
+    :meth:`random_points`: one ``_exp_rows`` call serves many tangents at
+    one base point, and every row equals :meth:`exp` bit for bit.
     """
 
     # -- shape ---------------------------------------------------------
@@ -282,14 +287,28 @@ class Manifold(ABC):
     @abstractmethod
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float: ...
 
-    def _exp_sphere(
-        self, x: ManifoldPoint, directions: np.ndarray, radius: float
-    ) -> tuple[np.ndarray, Sequence[np.ndarray]]:
-        """Tangents and endpoint coordinates of :meth:`exp_sphere`, one row per direction."""
+    def _exp_rows(
+        self, x: ManifoldPoint, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``_exp`` of every row of v, and the self-products of the results
+        where the space caches them on its points (else None)."""
+        return np.array([self._exp(x, r) for r in v]), None
+
+    def _tangent_rows(
+        self, x: ManifoldPoint, directions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``_project_tangent`` of every row of ``directions``, and the
+        squared norm ``_inner`` gives each projected row."""
         w = np.array([self._project_tangent(x.coords, d) for d in directions])
-        n2 = np.array([self._inner(x.coords, r, r) for r in w])
-        v = _sphere_scale(n2, radius)[:, None] * w
-        return v, [self._exp(x, r) for r in v]
+        return w, np.array([self._inner(x.coords, r, r) for r in w])
+
+    def _sphere_tangents(
+        self, x: ManifoldPoint, directions: np.ndarray, radii: float | np.ndarray
+    ) -> np.ndarray:
+        """Rows of ``directions`` projected to T_x and scaled to norms ``radii``,
+        each as :meth:`random_tangent` computes it from that draw."""
+        w, n2 = self._tangent_rows(x, directions)
+        return _sphere_scale(n2, radii)[:, None] * w
 
     @abstractmethod
     def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
@@ -385,13 +404,29 @@ class Manifold(ABC):
         _require_finite(directions, "directions")
         if not 0.0 < radius < math.inf:
             raise GeometryError(f"sphere radius {radius!r} is not positive and finite")
-        v, c = (np.array(a, dtype=float) for a in self._exp_sphere(x, directions, float(radius)))
-        _require_finite(v, "tangent components")
-        _require_finite(c, "point coordinates from exp")
-        v.setflags(write=False)
-        c.setflags(write=False)
+        v = _frozen(self._sphere_tangents(x, directions, float(radius)))
         # the rows are read-only views, as immutable as coordinates of their own
-        return [(TangentVector(x, vk), ManifoldPoint(self, ck)) for vk, ck in zip(v, c)]
+        return [(TangentVector(x, vk), y) for vk, y in zip(v, self._exp_points(x, v))]
+
+    def _exp_points(self, x: ManifoldPoint, v: np.ndarray) -> list[ManifoldPoint]:
+        """``exp(x, v_k)`` for every row v_k of v, with the checks :meth:`exp` makes."""
+        if not len(v):
+            return []
+        try:
+            _require_finite(v, "tangent components")
+            c, q = self._exp_rows(x, v)
+            c = _frozen(np.asarray(c, dtype=float))
+            _require_finite(c, "point coordinates from exp")
+            points = [ManifoldPoint(self, ck) for ck in c]
+            if q is not None:
+                for y, qk in zip(points, q.tolist()):
+                    y.__dict__["_self_product"] = qk
+            for y in points:
+                self._validate_exp_point(y)
+            return points
+        except GeometryError:
+            # the rows one by one: the first failing row raises what exp raises for it
+            return [self.exp(x, TangentVector(x, _as_coords(r))) for r in v]
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         """Initial velocity of the minimal geodesic from x to y; inverse of exp."""
@@ -448,6 +483,22 @@ class Manifold(ABC):
             return y
         return self.exp(x, t * self.log(x, y))
 
+    def geodesic_points(
+        self, x: ManifoldPoint, y: ManifoldPoint, ts: Sequence[float]
+    ) -> list[ManifoldPoint]:
+        """``geodesic(x, y, t)`` for each t, from one ``log`` and one batched ``exp``.
+
+        Each point equals the single call bit for bit, t = 0 and t = 1
+        included.
+        """
+        ts = [float(t) for t in ts]
+        inside = [t for t in ts if 0.0 < t < 1.0]
+        mids = iter(
+            self._exp_points(x, np.multiply.outer(inside, self.log(x, y).components))
+            if inside else ()
+        )
+        return [next(mids) if 0.0 < t < 1.0 else self.geodesic(x, y, t) for t in ts]
+
     # -- tangent frames and sampling ---------------------------------------
 
     def tangent_basis(self, x: ManifoldPoint) -> tuple[TangentVector, ...]:
@@ -494,6 +545,33 @@ class Manifold(ABC):
         radius = spread * rng.uniform()
         return self.exp(base, self.random_tangent(rng, base, scale=radius))
 
+    def random_points(
+        self, rng: np.random.Generator, n: int, spread: float
+    ) -> list[ManifoldPoint]:
+        """``n`` calls of :meth:`random_point` in order, from one batched ``exp``.
+
+        The points, and the generator's state after them, equal those of
+        the single calls bit for bit.  The draws come in the same order;
+        where a radius is 0 or a direction degenerate (the single call
+        then draws differently) or a row fails, the generator is rewound
+        and the calls run one by one.
+        """
+        state = rng.bit_generator.state
+        dim = self.ambient_dim
+        radii = np.empty(n)
+        directions = np.empty((n, dim))
+        for k in range(n):
+            radii[k] = spread * rng.uniform()
+            directions[k] = rng.standard_normal(dim)
+        if np.all(radii != 0.0):
+            base = self.base_point()
+            try:
+                return self._exp_points(base, self._sphere_tangents(base, directions, radii))
+            except GeometryError:
+                pass
+        rng.bit_generator.state = state
+        return [self.random_point(rng, spread) for _ in range(n)]
+
     # -- internals ----------------------------------------------------------
 
     def _own_point(self, x: ManifoldPoint) -> None:
@@ -537,18 +615,20 @@ class Euclidean(Manifold):
         return w
 
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ v)
+        # the BLAS dot that `u @ v` calls, without matmul's dispatch
+        return float(u.dot(v))
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         return x.coords + v
 
-    def _exp_sphere(
-        self, x: ManifoldPoint, directions: np.ndarray, radius: float
+    def _exp_rows(self, x: ManifoldPoint, v: np.ndarray) -> tuple[np.ndarray, None]:
+        return x.coords + v, None
+
+    def _tangent_rows(
+        self, x: ManifoldPoint, directions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         # squared norms row by row: a batched dot rounds differently from `_inner`'s
-        n2 = np.array([self._inner(x.coords, d, d) for d in directions])
-        v = _sphere_scale(n2, radius)[:, None] * directions
-        return v, x.coords + v
+        return directions, np.array([self._inner(x.coords, d, d) for d in directions])
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         return y.coords - x.coords
@@ -562,6 +642,11 @@ class Euclidean(Manifold):
 
     def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
         return [row for row in np.eye(self.dim)]
+
+    def tangent_basis(self, x: ManifoldPoint) -> tuple[TangentVector, ...]:
+        # Gram-Schmidt of the identity rows returns the same rows
+        self._own_point(x)
+        return tuple(TangentVector(x, _frozen(row)) for row in np.eye(self.dim))
 
 
 @dataclass(frozen=True)
@@ -693,7 +778,7 @@ class Hyperboloid(Manifold):
         # amplification ~ sinh(n)*cosh(n), so the three bilinear forms
         # use error-free products and the scalar stage runs in extended
         # precision, folding all corrections into the coefficient of x.
-        # _exp_sphere repeats these steps row-wise, bit for bit
+        # _exp_rows repeats these steps row-wise, bit for bit
         ld = np.longdouble
         qx = ld(x.self_product)
         xc = x.coords
@@ -713,25 +798,15 @@ class Hyperboloid(Manifold):
         c = a * xc.astype(ld) + s * v.astype(ld)
         return self._project_point(np.asarray(c, dtype=float))
 
-    def _exp_sphere(
-        self, x: ManifoldPoint, directions: np.ndarray, radius: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # random_tangent, _exp and _project_point for all rows at once.
-        # Each Minkowski form is an exactly rounded sum of the same
-        # products as the scalar code's, so every row matches it bit for bit.
+    def _exp_rows(self, x: ManifoldPoint, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # _exp and _project_point for all rows at once, plus the exact
+        # self-product of each result.  Each Minkowski form is an exactly
+        # rounded sum of the same products as the scalar code's, so every
+        # row matches it bit for bit.
         ld = np.longdouble
         xc = x.coords
-        signed = xc.copy()
-        signed[0] = -signed[0]
-        xw = np.array([math.fsum(r) for r in (directions * signed).tolist()])
-        w = directions + xw[:, None] * xc
-        w2 = w * w
-        w2[:, 0] = -w2[:, 0]
-        v = _sphere_scale(np.array([math.fsum(r) for r in w2.tolist()]), radius)[:, None] * w
-
         qx = ld(x.self_product)
-        rows = np.broadcast_to(xc, v.shape)
-        m = self._minkowski_exact_rows(rows, v).astype(ld)
+        m = self._minkowski_exact_rows(np.broadcast_to(xc, v.shape), v).astype(ld)
         n2 = self._minkowski_exact_rows(v, v).astype(ld) - m * m / qx
         n = np.sqrt(np.maximum(n2, 0.0))
         t2 = n * n
@@ -745,7 +820,21 @@ class Hyperboloid(Manifold):
         if not np.all(q < 0.0):
             raise GeometryError("cannot project coordinates with non-timelike self-product")
         c = c / np.sqrt(-q)[:, None]
-        return v, np.where(c[:, :1] > 0.0, c, -c)
+        c = np.where(c[:, :1] > 0.0, c, -c)
+        return c, self._minkowski_exact_rows(c, c)
+
+    def _tangent_rows(
+        self, x: ManifoldPoint, directions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # exactly rounded sums of the scalar code's products, bit for bit
+        xc = x.coords
+        signed = xc.copy()
+        signed[0] = -signed[0]
+        xw = np.array([_finite_sum(r) for r in (directions * signed).tolist()])
+        w = directions + xw[:, None] * xc
+        w2 = w * w
+        w2[:, 0] = -w2[:, 0]
+        return w, np.array([_finite_sum(r) for r in w2.tolist()])
 
     def _chord_half(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         # cosh(d) - 1 computed from the chord <y-x, y-x>_L = 2(cosh d - 1),
@@ -1006,6 +1095,20 @@ class Product(Manifold):
         return np.concatenate(
             [f._exp(p, v[s]) for f, p, s in zip(self.factors, self._parts(x), self._slices)]
         )
+
+    def _exp_rows(self, x: ManifoldPoint, v: np.ndarray) -> tuple[np.ndarray, None]:
+        parts = zip(self.factors, self._parts(x), self._slices)
+        return np.hstack([f._exp_rows(p, v[:, s])[0] for f, p, s in parts]), None
+
+    def _tangent_rows(
+        self, x: ManifoldPoint, directions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # each row's squared norm is the builtin sum of its factors' norms,
+        # as in _inner (Python 3.12 and later compensate that sum)
+        rows = [f._tangent_rows(p, directions[:, s])
+                for f, p, s in zip(self.factors, self._parts(x), self._slices)]
+        n2 = np.array([sum(r) for r in zip(*(n2.tolist() for _, n2 in rows))])
+        return np.hstack([w for w, _ in rows]), n2
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         return np.concatenate(

@@ -215,6 +215,111 @@ def test_registration_refused_for_convex_concave_swap(rng):
         saddle_field(sp, rng=rng)
 
 
+def _refusing_registration(name, rng):
+    e1, h2 = Euclidean(1), Hyperboloid(2)
+    a = h2.base_point()
+    if name == "concave":
+        prog = ConvexProgram(e1, lambda x: -float(x.coords[0] ** 2),
+                             lambda x: (TangentVector(x, -2.0 * x.coords),), name=name)
+        return subdifferential_field(prog, rng=rng)
+    if name == "lying":
+        prog = ConvexProgram(e1, lambda x: 0.5 * float(x.coords[0] ** 2),
+                             lambda x: (TangentVector(x, -x.coords),), name=name)
+        return subdifferential_field(prog, rng=rng)
+    if name == "hyper_concave":
+        prog = ConvexProgram(h2, lambda x: -dist(x, a) ** 2,
+                             lambda x: (2.0 * log_map(x, a),), name=name)
+        return subdifferential_field(prog, rng=rng)
+    if name == "swapped":
+        sp = SaddleProblem(
+            e1, e1, h=lambda x, y: 0.5 * float(x.coords[0] ** 2) - 0.5 * float(y.coords[0] ** 2),
+            neg_x_subgradient=lambda x, y: (TangentVector(x, -x.coords),),
+            y_subgradient=lambda x, y: (TangentVector(y, -y.coords),), name=name,
+        )
+        return saddle_field(sp, rng=rng)
+    if name == "bilinear_wrong_sign":  # H passes; its field fails the monotone pairs
+        sp = SaddleProblem(
+            e1, e1, h=lambda x, y: float(x.coords[0] * y.coords[0]),
+            neg_x_subgradient=lambda x, y: (TangentVector(x, y.coords.copy()),),
+            y_subgradient=lambda x, y: (TangentVector(y, x.coords.copy()),), name=name,
+        )
+        return saddle_field(sp, rng=rng)
+    # H = 0 passes; the pairs on a product of hyperbolic planes refute the field
+    sp = SaddleProblem(h2, h2, h=lambda x, y: 0.0,
+                       neg_x_subgradient=lambda x, y: (log_map(x, a),),
+                       y_subgradient=lambda x, y: (log_map(y, a),), name=name)
+    return saddle_field(sp, rng=rng)
+
+
+def _plain(witness):
+    if isinstance(witness, tuple):
+        return tuple(_plain(w) for w in witness)
+    if isinstance(witness, TangentVector):
+        return witness.components.tolist()
+    if hasattr(witness, "coords"):
+        return witness.coords.tolist()
+    return float(witness)
+
+
+# each refusal's message, witness and the generator's next draw, recorded
+# before the monotonicity pairs and convexity grids were batched
+REFUSALS = {
+    "concave": (
+        "objective of concave not geodesically convex: gap 6.785e-01 at t=0.5",
+        ([-1.0855418474928593], [0.561863976864591], (0.5, 0.6784864875317126)),
+        0.8034426152666134,
+    ),
+    "lying": (
+        "subgradient inequality of lying violated by 2.220e+00",
+        ([-1.0855418474928593], [0.561863976864591], [1.0855418474928593]),
+        0.8034426152666134,
+    ),
+    "hyper_concave": (
+        "objective of hyper_concave not geodesically convex: gap 3.467e-01 at t=0.5",
+        ([1.649381281280935, 1.2035226055837, 0.5215284737087328],
+         [2.593882027829356, 2.3749281173081, -0.29654748678000264],
+         (0.5, 0.3466787733443668)),
+        0.8108303682244624,
+    ),
+    "swapped": (
+        "swapped: H(x, .) not geodesically convex (gap 5.879e-01)",
+        ([-1.0855418474928593], [0.561863976864591], [-1.6068852305332268],
+         (0.5, 0.5879341405735827)),
+        0.9998905068597175,
+    ),
+    "bilinear_wrong_sign": (
+        "saddle field of bilinear_wrong_sign failed a monotonicity spot check: "
+        "monotonicity FAIL: min slack -8.168e+00 over 200 pairs",
+        ([-0.48115503016941696, 1.3752112740636657], [1.9665126415271093, -0.2933463148425123],
+         [1.3752112740636657, -0.48115503016941696], [-0.2933463148425123, 1.9665126415271093]),
+        0.4854411171239553,
+    ),
+    "hyper_anti": (
+        "saddle field of hyper_anti failed a monotonicity spot check: "
+        "monotonicity FAIL: min slack -1.232e+01 over 200 pairs",
+        ([3.3273455705830353, 2.0194895691613755, 2.448038076935681,
+          1.0360730872002553, -0.14415835156393697, -0.22949033028656293],
+         [2.6088118348766525, -2.1427451422302273, -1.1020628136550334,
+          1.3740678076191406, -0.6444816766258572, -0.6875359688254831],
+         [-5.940623977573747, -3.9635937478515455, -4.804693504940517,
+          -0.07257683276168386, 0.14758816631338384, 0.23495036302925967],
+         [-3.8868397602637863, 3.742315696009491, 1.9247585185221632,
+          -0.7916203586868981, 0.7893911272907982, 0.8421260264924406]),
+        0.5995575307301594,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_registration_refusals_keep_message_and_witness(name, rng):
+    message, witness, next_draw = REFUSALS[name]
+    with pytest.raises(RegistrationError) as err:
+        _refusing_registration(name, rng)
+    assert str(err.value) == message
+    assert _plain(err.value.witness) == witness
+    assert rng.uniform() == next_draw
+
+
 def test_solve_saddle_bilinear_converges_to_origin():
     sp = bilinear_saddle_problem()
     trace = solve_saddle(sp, None, x0=sp.product.point([1.5, -1.0]))

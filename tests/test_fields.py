@@ -31,6 +31,7 @@ from hsplit.fields import (
     resolvent_with_residual,
 )
 from hsplit.manifold import (
+    SPD,
     Euclidean,
     GeometryError,
     Hyperboloid,
@@ -208,6 +209,24 @@ def test_resolvent_weak_field_at_lam_hi():
     z, res = resolvent_with_residual(weak, ResolventConfig(lam=100.0), x)
     assert res <= 1e-10
     assert dist(z, geodesic_point(x, a, 0.5)) < 1e-9
+
+
+@pytest.mark.parametrize("manifold, lam", [(Hyperboloid(2), 1.0), (SPD(2), 100.0)],
+                         ids=["hyperboloid", "spd"])
+def test_resolvent_steep_field_rejects_failing_trials(manifold, lam):
+    # 100 times the mean of two distance gradients: the first trial step
+    # overshoots, and its exp cannot project back onto the hyperboloid,
+    # or its SPD log is not finite.  Such a trial is rejected like one
+    # that raises the residual, so the step halves and the solve converges
+    rng = np.random.default_rng(7)
+    a, b, x = (manifold.random_point(rng, 2.0) for _ in range(3))
+    steep = VectorField(manifold, lambda p: (-50.0 * (log_map(p, a) + log_map(p, b)),),
+                        name="steep")
+    cfg = ResolventConfig(lam=lam)
+    with np.errstate(all="ignore"):  # the rejected SPD trials overflow
+        z, res = resolvent_with_residual(steep, cfg, x)
+    assert res <= cfg.inner_tol
+    assert resolvent_residual(steep, lam, x, z) == res
 
 
 def test_resolvent_nonconvergence_carries_residual():

@@ -13,14 +13,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from hsplit.equilibrium import _certificate_normals
 from hsplit.fields import FieldError, VectorField
 from hsplit.manifold import (
     SPD,
     Euclidean,
     GeometryError,
     Hyperboloid,
+    Manifold,
     Product,
     _finite_sum,
     _same_coords,
@@ -760,3 +762,156 @@ def test_tangent_arithmetic_results_are_read_only():
         assert not w.components.flags.writeable
         with pytest.raises(ValueError):
             w.components[0] = 0.0
+
+
+# -- batched exponentials ---------------------------------------------------------------
+#
+# exp_sphere, geodesic_points and random_points serve many tangents at one
+# base point from one kernel call; each must give exactly what the single
+# calls give, errors included.  Hyperboloid bases reach out to radius 19,
+# near the edge of what float64 coordinates hold.
+
+# the three-factor product pins the order of the norm sum across factors
+BATCH_MANIFOLDS = (
+    Euclidean(3), Hyperboloid(2), SPD(2), Product((Euclidean(1), Hyperboloid(2))),
+    Product((Euclidean(1), Hyperboloid(2), Euclidean(2))),
+)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+radii = st.floats(min_value=0.0, max_value=19.0, allow_nan=False)
+
+
+def _outcome(compute):
+    # the points computed and their coordinates, or no points and the
+    # GeometryError raised
+    try:
+        points = compute()
+    except GeometryError as exc:
+        return [], str(exc)
+    return points, [y.coords.tolist() for y in points]
+
+
+def _point_at(m, rng, radius):
+    base = m.base_point()
+    try:
+        return m.exp(base, m.random_tangent(rng, base, radius))
+    except GeometryError:  # beyond the float range of the chart
+        assume(False)
+
+
+def _assert_cached_self_products(m, points):
+    # a Hyperboloid point from a batch carries its exact self-product as a float
+    if not isinstance(m, Hyperboloid):
+        return
+    for y in points:
+        q = y.__dict__["_self_product"]
+        assert type(q) is float
+        assert q == Hyperboloid.minkowski_exact(y.coords, y.coords)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(BATCH_MANIFOLDS), seeds, radii, radii,
+    st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+             min_size=1, max_size=8),
+)
+def test_geodesic_points_match_geodesic_point_property(m, seed, rx, ry, ts):
+    rng = np.random.default_rng(seed)
+    x, y = _point_at(m, rng, rx), _point_at(m, rng, ry)
+    _, expected = _outcome(lambda: [geodesic_point(x, y, t) for t in ts])
+    points, got = _outcome(lambda: m.geodesic_points(x, y, ts))
+    assert got == expected
+    for t, p in zip(ts, points):
+        assert p is x if t == 0.0 else p is y if t == 1.0 else p.manifold is m
+    _assert_cached_self_products(m, [p for t, p in zip(ts, points) if 0.0 < t < 1.0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(BATCH_MANIFOLDS), seeds, st.integers(min_value=0, max_value=12),
+    st.one_of(st.just(0.0), radii),
+)
+def test_random_points_match_random_point_property(m, seed, n, spread):
+    single, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+    _, expected = _outcome(lambda: [m.random_point(single, spread) for _ in range(n)])
+    points, got = _outcome(lambda: m.random_points(batched, n, spread))
+    assert got == expected
+    assert batched.uniform() == single.uniform()
+    _assert_cached_self_products(m, points)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(BATCH_MANIFOLDS), seeds, radii, st.floats(min_value=1e-3, max_value=2.0))
+def test_exp_sphere_matches_exp_property(m, seed, rx, radius):
+    # each row is random_tangent from a generator drawing that row, then exp
+    x = _point_at(m, np.random.default_rng(seed), rx)
+    directions = np.random.default_rng(seed + 1).standard_normal((8, m.ambient_dim))
+    sequential = np.random.default_rng(seed + 1)
+    _, expected = _outcome(
+        lambda: [exp_map(x, m.random_tangent(sequential, x, radius)) for _ in directions]
+    )
+    points, got = _outcome(lambda: [y for _, y in m.exp_sphere(x, directions, radius)])
+    assert got == expected
+    _assert_cached_self_products(m, points)
+
+
+class _ZeroRadiusGenerator:
+    """A generator whose uniform draws below 0.3 read 0, a function of its state."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+
+    def uniform(self):
+        u = self._rng.uniform()
+        return 0.0 if u < 0.3 else u
+
+    def standard_normal(self, size):
+        return self._rng.standard_normal(size)
+
+
+def test_random_points_zero_radius_takes_the_single_calls(manifold):
+    # a zero radius draws no direction in random_point, so the batch rewinds
+    # the generator and runs the single calls; points and state still match
+    single, batched = _ZeroRadiusGenerator(7), _ZeroRadiusGenerator(7)
+    expected = [manifold.random_point(single, 2.0) for _ in range(12)]
+    got = manifold.random_points(batched, 12, 2.0)
+    assert [y.coords.tolist() for y in got] == [y.coords.tolist() for y in expected]
+    assert any(np.array_equal(y.coords, manifold.base_point().coords) for y in got)
+    assert batched.uniform() == single.uniform()
+
+
+def test_exp_sphere_refuses_non_timelike_probes():
+    # probes 2, 29 and 63 of the seed-0 certificate directions at this
+    # radius-19 base round to a spacelike self-product (probe 2: +0.1477);
+    # exp refuses each, and so does exp_sphere
+    m = Hyperboloid(2)
+    base = m.base_point()
+    z = m.exp(base, m.tangent(base, [0.0, 19.0 * math.cos(1.85), 19.0 * math.sin(1.85)]))
+    normals = _certificate_normals(0, 3)
+    with pytest.raises(GeometryError, match="non-timelike point from exp"):
+        m.exp_sphere(z, normals, 0.1)
+    rng = np.random.default_rng(0)
+    refused = []
+    for k in range(len(normals)):
+        try:
+            exp_map(z, m.random_tangent(rng, z, 0.1))
+        except GeometryError:
+            refused.append(k)
+    assert refused == [2, 29, 63]
+
+
+def test_euclidean_tangent_basis_is_the_gram_schmidt_frame(rng):
+    for k in range(1, 6):
+        m = Euclidean(k)
+        x = m.random_point(rng, 3.0)
+        fast, generic = m.tangent_basis(x), Manifold.tangent_basis(m, x)
+        assert [b.components.tolist() for b in fast] == [b.components.tolist() for b in generic]
+        assert all(b.base is x and not b.components.flags.writeable for b in fast)
+
+
+def test_euclidean_inner_matches_matmul(rng):
+    for k in (1, 2, 3, 5, 17):
+        m = Euclidean(k)
+        for _ in range(200):
+            u, v = rng.standard_normal(k) * 10.0 ** rng.integers(-5, 5), rng.standard_normal(k)
+            assert m._inner(u, u, v) == float(u @ v)

@@ -409,23 +409,35 @@ def test_run_oracle_failure_keeps_partial_trace():
 
 
 def test_run_geometry_failure_keeps_trace():
-    # a field 1e6 times too steep overshoots, exp overflows and cannot
-    # project back onto the hyperboloid; the run ends with a trace
+    # a raw oracle anchored at hyperbolic radius 19: no tangent frame for
+    # its diagonal gradient can be built there, and the GeometryError ends
+    # the run with a trace.  (A field 1e6 times too steep, whose first
+    # trial overflowed exp, ended here too, until failing trials became
+    # rejected trials; the resolvent now converges.)
     m = Hyperboloid(2)
-    a = m.base_point()
-    steep = VectorField(m, lambda x: (1e6 * -log_map(x, a),), name="steep")
+    base = m.base_point()
+    far = m.exp(base, m.tangent(base, [0.0, 19.0 * math.cos(1.85), 19.0 * math.sin(1.85)]))
+
+    def half_sq_dist_difference(x, y):
+        return 0.5 * dist(y, far) ** 2 - 0.5 * dist(x, far) ** 2
+
+    bf = generic_bifunction(m, half_sq_dist_difference, anchors=(far,))
+    trace = run(ProblemInstance(m, far, bifunction=bf), stop=StoppingRule(max_iter=5))
+    assert trace.termination_reason == "resolvent_failure"
+    assert "tangent frame" in trace.error
+    assert [rec.n for rec in trace.records] == list(range(trace.iterations))
+    steep = VectorField(m, lambda x: (1e6 * -log_map(x, base),), name="steep")
     prob = ProblemInstance(m, m.point([math.cosh(1.0), math.sinh(1.0), 0.0]), field=steep)
     with np.errstate(all="ignore"):
-        trace = run(prob, stop=StoppingRule(max_iter=50))
-    assert trace.termination_reason == "resolvent_failure"
-    assert trace.error != ""
-    assert [rec.n for rec in trace.records] == list(range(trace.iterations))
+        assert run(prob, stop=StoppingRule(max_iter=50)).termination_reason == "step_tol"
 
 
 def test_run_overflowing_exp_keeps_trace():
     # the damped fixed-point step overflows exp: a field 1e6 times too
     # steep on SPD(2), and a field with a singular Newton system at
-    # 1.5e308 on the line; each run ends with the exp error and a trace
+    # 1.5e308 on the line.  Each overflowing trial is rejected and the
+    # step halves until the resolvent stalls; each run ends with the
+    # stall and a trace
     spd = SPD(2)
     a = spd.point(np.diag([2.0, 3.0]).ravel())
     steep = VectorField(spd, lambda x: (1e6 * -log_map(x, a),), name="steep")
@@ -438,7 +450,7 @@ def test_run_overflowing_exp_keeps_trace():
         with np.errstate(all="ignore"):
             trace = run(prob, stop=StoppingRule(max_iter=50))
         assert trace.termination_reason == "resolvent_failure"
-        assert "from exp" in trace.error
+        assert "stalled" in trace.error
         assert [rec.n for rec in trace.records] == list(range(trace.iterations))
 
 
