@@ -64,10 +64,9 @@ __all__ = [
 
 _CHECK_SEED = 20240901
 # registration spot checks: geodesic radius of the random points, largest
-# accepted gap, convexity grid, and sample counts per kind of check
+# accepted gap, and sample counts per kind of check
 _CHECK_SPREAD = 2.0
 _CHECK_TOL = 1e-9
-_CONVEXITY_GRID = 21
 _MONOTONE_PAIRS = 200
 _PROGRAM_SAMPLES = 40
 _SADDLE_SAMPLES = 30
@@ -154,28 +153,13 @@ def linear_program(manifold: Euclidean, c) -> ConvexProgram:
     return ConvexProgram(manifold, objective, subgrad, (), "linear")
 
 
-def _spot_check_convexity(
-    value: Callable[[ManifoldPoint], float], x: ManifoldPoint, y: ManifoldPoint
-) -> tuple[float, float] | None:
-    """Return (t, violation) of the worst convexity gap along [x, y], if any."""
-    f0, f1 = value(x), value(y)
-    worst = None
-    ts = np.linspace(0.0, 1.0, _CONVEXITY_GRID)[1:-1]
-    for t, p in zip(ts, x.manifold.geodesic_points(x, y, ts)):
-        ft = value(p)
-        gap = ft - ((1.0 - t) * f0 + t * f1)
-        if gap > _CHECK_TOL and (worst is None or gap > worst[1]):
-            worst = (float(t), float(gap))
-    return worst
-
-
 def _validate_program(prog: ConvexProgram, rng: np.random.Generator) -> None:
     man = prog.manifold
     for _ in range(_PROGRAM_SAMPLES):
         x = man.random_point(rng, _CHECK_SPREAD)
         y = man.random_point(rng, _CHECK_SPREAD)
-        bad = _spot_check_convexity(prog.objective, x, y)
-        if bad is not None:
+        bad = eq._worst_convexity_gap(prog.objective, x, y)
+        if bad[1] > _CHECK_TOL:
             raise RegistrationError(
                 f"objective of {prog.name} not geodesically convex: gap {bad[1]:.3e} at t={bad[0]}",
                 witness=(x, y, bad),
@@ -340,16 +324,16 @@ def _validate_saddle(sp: SaddleProblem, rng: np.random.Generator) -> None:
     for _ in range(_SADDLE_SAMPLES):
         x = sp.m1.random_point(rng, _CHECK_SPREAD)
         y1, y2 = sp.m2.random_point(rng, _CHECK_SPREAD), sp.m2.random_point(rng, _CHECK_SPREAD)
-        bad = _spot_check_convexity(lambda q: sp.h(x, q), y1, y2)
-        if bad is not None:
+        bad = eq._worst_convexity_gap(lambda q: sp.h(x, q), y1, y2)
+        if bad[1] > _CHECK_TOL:
             raise RegistrationError(
                 f"{sp.name}: H(x, .) not geodesically convex (gap {bad[1]:.3e})",
                 witness=(x, y1, y2, bad),
             )
         x1, x2 = sp.m1.random_point(rng, _CHECK_SPREAD), sp.m1.random_point(rng, _CHECK_SPREAD)
         y = sp.m2.random_point(rng, _CHECK_SPREAD)
-        bad = _spot_check_convexity(lambda q: -sp.h(q, y), x1, x2)
-        if bad is not None:
+        bad = eq._worst_convexity_gap(lambda q: -sp.h(q, y), x1, x2)
+        if bad[1] > _CHECK_TOL:
             raise RegistrationError(
                 f"{sp.name}: H(., y) not geodesically concave (gap {bad[1]:.3e})",
                 witness=(x1, x2, y, bad),

@@ -329,12 +329,27 @@ class AssumptionReport:
         )
 
 
-#: geodesic grid of the convexity spot check, endpoints included
+#: geodesic grid of the convexity spot checks, endpoints included
 _CONVEXITY_GRID = 21
 #: largest |F(x, x)| the diagonal check accepts
 _DIAGONAL_TOL = 1e-12
 #: largest convexity gap the convexity check accepts
 _CONVEXITY_TOL = 1e-9
+
+
+def _worst_convexity_gap(
+    value: Callable[[ManifoldPoint], float], x: ManifoldPoint, y: ManifoldPoint
+) -> tuple[float, float]:
+    """The first worst ``(t, gap)`` over the interior grid points of [x, y],
+    where gap is ``value(gamma(t)) - ((1-t) value(x) + t value(y))``."""
+    f0, f1 = value(x), value(y)
+    worst = (math.nan, -math.inf)
+    ts = np.linspace(0.0, 1.0, _CONVEXITY_GRID)[1:-1]
+    for t, p in zip(ts, x.manifold.geodesic_points(x, y, ts)):
+        gap = value(p) - ((1.0 - t) * f0 + t * f1)
+        if gap > worst[1]:
+            worst = (float(t), float(gap))
+    return worst
 
 
 def check_assumptions(
@@ -346,14 +361,11 @@ def check_assumptions(
     diag = 0.0
     mono = -math.inf
     convexity = -math.inf
-    ts = np.linspace(0.0, 1.0, _CONVEXITY_GRID)
     for x, y in samples:
         diag = max(diag, abs(bifun.eval(x, x)), abs(bifun.eval(y, y)))
         mono = max(mono, bifun.eval(x, y) + bifun.eval(y, x))
-        f0, f1 = bifun.eval(x, x), bifun.eval(x, y)
-        for t, mid in zip(ts[1:-1], x.manifold.geodesic_points(x, y, ts[1:-1])):
-            gap = bifun.eval(x, mid) - ((1.0 - t) * f0 + t * f1)
-            convexity = max(convexity, float(gap))
+        _, gap = _worst_convexity_gap(lambda q: bifun.eval(x, q), x, y)
+        convexity = max(convexity, gap)
     passed = (
         diag <= _DIAGONAL_TOL
         and mono <= fields.MONOTONE_SLACK_TOL

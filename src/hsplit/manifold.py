@@ -73,6 +73,10 @@ SINHC_SERIES_CUT = 1e-5
 DEGENERATE_SIDE_TOL = 1e-14
 #: squared tangent norm below which a sampled direction counts as zero
 _MIN_SAMPLE_NORM2 = 1e-20
+#: largest tangent norm n a Hyperboloid exp accepts: its endpoint holds
+#: coordinates up to e^n x_0, and x_0 < sqrt(float max) at every point
+#: (its self-product is finite), so e^n x_0 stays below float max / e^0.5
+_EXP_MAX_NORM = (math.log(np.finfo(float).max) - 1.0) / 2.0
 
 
 def _stable_acosh1p(e: float) -> float:
@@ -227,8 +231,8 @@ class Manifold(ABC):
 
     Subclasses implement the raw kernels (prefixed ``_``), which assume
     finite input.  ``_validate_point``, ``_validate_exp_point``, ``_exp``,
-    ``_exp_rows``, ``_tangent_rows``, ``_log`` and ``_dist`` take
-    points, so a space can read what a point caches
+    ``_exp_rows``, ``_tangent_rows``, ``_frame``, ``_log`` and ``_dist``
+    take points, so a space can read what a point caches
     (:attr:`ManifoldPoint.self_product`); the others take coordinate
     arrays.  Each check lives in one place: :meth:`point` and
     :meth:`tangent` check finiteness and then the constraints
@@ -311,8 +315,8 @@ class Manifold(ABC):
         return _sphere_scale(n2, radii)[:, None] * w
 
     @abstractmethod
-    def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
-        """Ambient directions whose tangent projections span T_x."""
+    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+        """Orthonormal basis of T_x in closed form, one vector per row."""
 
     def _validate_point(self, x: ManifoldPoint) -> None:
         """Raise GeometryError unless the finite coordinates of x are a point."""
@@ -502,23 +506,10 @@ class Manifold(ABC):
     # -- tangent frames and sampling ---------------------------------------
 
     def tangent_basis(self, x: ManifoldPoint) -> tuple[TangentVector, ...]:
-        """Orthonormal basis of T_x under the Riemannian metric."""
+        """Orthonormal basis of T_x under the Riemannian metric, in closed form."""
         self._own_point(x)
-        basis: list[np.ndarray] = []
-        for cand in self._candidate_directions(x.coords):
-            w = self._project_tangent(x.coords, np.asarray(cand, dtype=float))
-            ref = self._inner(x.coords, w, w)
-            for _ in range(2):  # re-orthogonalize for numerical safety
-                for b in basis:
-                    w = w - self._inner(x.coords, w, b) * b
-            n2 = self._inner(x.coords, w, w)
-            if n2 > max(ref, 1.0) * 1e-24:
-                basis.append(w / math.sqrt(n2))
-            if len(basis) == self.manifold_dim:
-                break
-        if len(basis) != self.manifold_dim:
-            raise GeometryError(f"failed to build a tangent frame at {x!r}")
-        return tuple(TangentVector(x, _as_coords(b)) for b in basis)
+        # the rows are read-only views, as immutable as coordinates of their own
+        return tuple(TangentVector(x, b) for b in _frozen(self._frame(x)))
 
     def random_tangent(
         self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0
@@ -640,13 +631,8 @@ class Euclidean(Manifold):
         n2 = d.dot(d)
         return math.sqrt(n2) if n2 < math.inf else math.hypot(*d.tolist())
 
-    def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
-        return [row for row in np.eye(self.dim)]
-
-    def tangent_basis(self, x: ManifoldPoint) -> tuple[TangentVector, ...]:
-        # Gram-Schmidt of the identity rows returns the same rows
-        self._own_point(x)
-        return tuple(TangentVector(x, _frozen(row)) for row in np.eye(self.dim))
+    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+        return np.eye(self.dim)
 
 
 @dataclass(frozen=True)
@@ -789,6 +775,8 @@ class Hyperboloid(Manifold):
             s = ld(1.0)
         else:
             n = np.sqrt(n2)
+            if n > _EXP_MAX_NORM:
+                raise GeometryError(f"exp leaves the float range: tangent norm {float(n)!r}")
             if n < SINHC_SERIES_CUT:
                 t2 = n * n
                 s = 1.0 + t2 / 6.0 + t2 * t2 / 120.0
@@ -809,6 +797,8 @@ class Hyperboloid(Manifold):
         m = self._minkowski_exact_rows(np.broadcast_to(xc, v.shape), v).astype(ld)
         n2 = self._minkowski_exact_rows(v, v).astype(ld) - m * m / qx
         n = np.sqrt(np.maximum(n2, 0.0))
+        if np.any(n > _EXP_MAX_NORM):
+            raise GeometryError("exp leaves the float range")
         t2 = n * n
         s = 1.0 + t2 / 6.0 + t2 * t2 / 120.0
         big = n >= SINHC_SERIES_CUT
@@ -873,8 +863,16 @@ class Hyperboloid(Manifold):
             return np.zeros_like(x)
         return (d / math.sqrt(tn2)) * t
 
-    def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
-        return [row for row in np.eye(self.dim + 1)]
+    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+        # the standard frame e_1..e_n at the base point e_0, moved to x by
+        # parallel transport along the geodesic: e_i + x_i/(1+x_0) (e_0 + x),
+        # an isometry of tangent spaces
+        c = x.coords
+        u = c.copy()
+        u[0] += 1.0  # e_0 + x
+        b = np.outer(c[1:] / u[0], u)
+        b[:, 1:] += np.eye(self.dim)
+        return b
 
 
 @dataclass(frozen=True)
@@ -972,8 +970,10 @@ class SPD(Manifold):
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         sq, isq = self._sqrt_pair(self._mat(x.coords))
         q = self._sym(isq @ self._mat(y.coords) @ isq)
-        lg = self._funcm(q, np.log)
-        return self._sym(sq @ lg @ sq).ravel()
+        w, vecs = np.linalg.eigh(q)
+        if w[0] <= 0.0:
+            raise GeometryError("second argument is not positive definite")
+        return self._sym(sq @ ((vecs * np.log(w)) @ vecs.T) @ sq).ravel()
 
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         _, isq = self._sqrt_pair(self._mat(x.coords))
@@ -983,19 +983,17 @@ class SPD(Manifold):
             raise GeometryError("second argument is not positive definite")
         return float(np.linalg.norm(np.log(w)))
 
-    def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
+    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+        # U -> P^1/2 U P^1/2 maps T_I isometrically onto T_P; it takes the
+        # frame at the identity (the diagonal units, then (E_ij + E_ji)/sqrt 2
+        # for i < j) to the symmetrized outer products of rows of P^1/2
+        sq, _ = self._sqrt_pair(self._mat(x.coords))
         k = self.order
-        dirs = []
-        for i in range(k):
-            m = np.zeros((k, k))
-            m[i, i] = 1.0
-            dirs.append(m.ravel())
-        for i in range(k):
-            for j in range(i + 1, k):
-                m = np.zeros((k, k))
-                m[i, j] = m[j, i] = math.sqrt(0.5)
-                dirs.append(m.ravel())
-        return dirs
+        pairs = [(i, i) for i in range(k)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
+        i, j = np.array(pairs).T
+        b = sq[i, :, None] * sq[j, None, :]
+        b = np.where(i == j, 0.5, math.sqrt(0.5))[:, None, None] * (b + b.transpose(0, 2, 1))
+        return b.reshape(len(b), -1)
 
 
 @dataclass(frozen=True)
@@ -1124,14 +1122,15 @@ class Product(Manifold):
         # hypot only where the squares overflow before the distance does
         return math.sqrt(n2) if n2 < math.inf else math.hypot(*ds)
 
-    def _candidate_directions(self, x: np.ndarray) -> list[np.ndarray]:
-        dirs = []
-        for f, s in zip(self.factors, self._slices):
-            for d in f._candidate_directions(x[s]):
-                w = np.zeros(self.ambient_dim)
-                w[s] = d
-                dirs.append(w)
-        return dirs
+    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+        # the factor frames, each padded with zeros in the other factors
+        b = np.zeros((self.manifold_dim, self.ambient_dim))
+        row = 0
+        for f, p, s in zip(self.factors, self._parts(x), self._slices):
+            fb = f._frame(p)
+            b[row:row + len(fb), s] = fb
+            row += len(fb)
+        return b
 
 
 # -- module-level operation aliases ---------------------------------------

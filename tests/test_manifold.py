@@ -8,6 +8,7 @@ seeded random data.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,6 @@ from hsplit.manifold import (
     Euclidean,
     GeometryError,
     Hyperboloid,
-    Manifold,
     Product,
     _finite_sum,
     _same_coords,
@@ -177,6 +177,24 @@ def test_exp_hyperboloid_non_timelike_result_rejected():
         prod.exp(pbase, prod.tangent(pbase, [0.0, *w]))
 
 
+@pytest.mark.parametrize("radius", [355.0, 720.0, 20000.0])
+def test_exp_hyperboloid_beyond_the_float_range_raises_without_warnings(radius):
+    # past radius ~355 the endpoint's squares overflow, past ~710 its
+    # coordinates and past ~11356 the long-double sinh and cosh; exp,
+    # exp_sphere and the row kernel each raise before numpy warns
+    h = Hyperboloid(2)
+    base = h.base_point()
+    rows = np.array([[0.0, 1.0, 0.0], [0.0, radius, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="exp leaves the float range: tangent norm"):
+            h.exp(base, h.tangent(base, [0.0, radius, 0.0]))
+        with pytest.raises(GeometryError, match="exp leaves the float range: tangent norm"):
+            h.exp_sphere(base, rows, radius)
+        with pytest.raises(GeometryError, match="exp leaves the float range"):
+            h._exp_rows(base, rows)
+
+
 def test_exp_sphere_matches_random_tangent_then_exp(manifold, rng):
     # each row of the batch is the pair random_tangent + exp would give
     # for a generator drawing that row, bit for bit; SPD and the product
@@ -328,6 +346,19 @@ def test_inner_hyperboloid_positive_definite(rng):
         x = m.random_point(rng, 3.0)
         v = m.random_tangent(rng, x, 1.0 + rng.uniform())
         assert inner(v, v) > 0.0
+
+
+def test_spd_log_refuses_a_quotient_that_is_not_positive_definite():
+    # P^-1/2 Q P^-1/2 of this nearly singular P rounds to an eigenvalue
+    # <= 0; log raises as dist does, before np.log divides by zero
+    m = SPD(2)
+    x = m.point([2504938.565438934, -5626108.030770256, -5626108.030770256, 12636282.318486042])
+    y = m.point([2423.949352014272, -134.0324688307403, -134.0324688307403, 7.411336015063465])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (m.dist, m.log):
+            with pytest.raises(GeometryError, match="second argument is not positive definite"):
+                op(x, y)
 
 
 def test_inner_spd_trace_symmetry(rng):
@@ -900,13 +931,59 @@ def test_exp_sphere_refuses_non_timelike_probes():
     assert refused == [2, 29, 63]
 
 
-def test_euclidean_tangent_basis_is_the_gram_schmidt_frame(rng):
+def test_euclidean_tangent_basis_is_the_identity_frame(rng):
     for k in range(1, 6):
         m = Euclidean(k)
         x = m.random_point(rng, 3.0)
-        fast, generic = m.tangent_basis(x), Manifold.tangent_basis(m, x)
-        assert [b.components.tolist() for b in fast] == [b.components.tolist() for b in generic]
-        assert all(b.base is x and not b.components.flags.writeable for b in fast)
+        assert [b.components.tolist() for b in m.tangent_basis(x)] == np.eye(k).tolist()
+
+
+def _gram_error(m, basis):
+    return max(
+        abs(m.inner(u, v) - (1.0 if i == j else 0.0))
+        for i, u in enumerate(basis) for j, v in enumerate(basis)
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(BATCH_MANIFOLDS + (SPD(3), Hyperboloid(5))), seeds, radii)
+def test_tangent_basis_closed_form_property(m, seed, radius):
+    # manifold_dim read-only vectors at x, orthonormal to 1e-9 within radius
+    # 5; on a hyperboloid, to the chart's own floor eps*cosh(R)^2 at any radius
+    x = _point_at(m, np.random.default_rng(seed), radius)
+    basis = m.tangent_basis(x)
+    assert len(basis) == m.manifold_dim
+    assert all(b.base is x and not b.components.flags.writeable for b in basis)
+    if radius <= 5.0:
+        assert _gram_error(m, basis) <= 1e-9
+    if isinstance(m, Hyperboloid):
+        assert _gram_error(m, basis) <= 4.0 * np.finfo(float).eps * math.cosh(radius) ** 2
+
+
+@pytest.mark.parametrize("radius", [14.0, 19.0])
+def test_hyperboloid_tangent_basis_at_the_chart_edge(radius):
+    # coordinates near 1e6 and 5e7 here: the frame is orthonormal only up to
+    # the chart's own rounding floor eps*cosh(R)^2
+    m = Hyperboloid(2)
+    base = m.base_point()
+    direction = [0.0, radius * math.cos(1.85), radius * math.sin(1.85)]
+    x = m.exp(base, m.tangent(base, direction))
+    basis = m.tangent_basis(x)
+    assert len(basis) == 2
+    assert _gram_error(m, basis) <= 4.0 * np.finfo(float).eps * math.cosh(radius) ** 2
+
+
+def test_tangent_basis_at_the_base_point_is_the_standard_frame():
+    # the coordinate directions at the apex, the diagonal units and then the
+    # scaled off-diagonal pairs at the identity, and their concatenation
+    r = math.sqrt(0.5)
+    expected = {
+        Hyperboloid(2): [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        SPD(2): [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, r, r, 0.0]],
+        Product((Euclidean(1), Hyperboloid(1))): [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+    }
+    for m, rows in expected.items():
+        assert [b.components.tolist() for b in m.tangent_basis(m.base_point())] == rows
 
 
 def test_euclidean_inner_matches_matmul(rng):

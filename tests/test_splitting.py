@@ -409,11 +409,11 @@ def test_run_oracle_failure_keeps_partial_trace():
 
 
 def test_run_geometry_failure_keeps_trace():
-    # a raw oracle anchored at hyperbolic radius 19: no tangent frame for
-    # its diagonal gradient can be built there, and the GeometryError ends
-    # the run with a trace.  (A field 1e6 times too steep, whose first
-    # trial overflowed exp, ended here too, until failing trials became
-    # rejected trials; the resolvent now converges.)
+    # a raw oracle anchored at hyperbolic radius 19: a probe direction of
+    # its certificate loses its tangential part there, and the
+    # GeometryError ends the run with a trace.  (A field 1e6 times too
+    # steep, whose first trial overflowed exp, ended here too, until
+    # failing trials became rejected trials; the resolvent now converges.)
     m = Hyperboloid(2)
     base = m.base_point()
     far = m.exp(base, m.tangent(base, [0.0, 19.0 * math.cos(1.85), 19.0 * math.sin(1.85)]))
@@ -424,7 +424,7 @@ def test_run_geometry_failure_keeps_trace():
     bf = generic_bifunction(m, half_sq_dist_difference, anchors=(far,))
     trace = run(ProblemInstance(m, far, bifunction=bf), stop=StoppingRule(max_iter=5))
     assert trace.termination_reason == "resolvent_failure"
-    assert "tangent frame" in trace.error
+    assert "a sphere direction has no tangential part" in trace.error
     assert [rec.n for rec in trace.records] == list(range(trace.iterations))
     steep = VectorField(m, lambda x: (1e6 * -log_map(x, base),), name="steep")
     prob = ProblemInstance(m, m.point([math.cosh(1.0), math.sinh(1.0), 0.0]), field=steep)
