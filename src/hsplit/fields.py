@@ -9,10 +9,15 @@ satisfying
 
 the geodesic analogue of ``(I + lam A)^-1``.  Structured fields (linear
 on flat space, gradients of squared distances) are solved in closed
-form; everything else goes through a geometric fixed-point iteration
-whose fixed points are exactly the solutions of the resolvent equation.
-Its step length is the two-point (Barzilai-Borwein) estimate read from
-the last step taken, guarded by monotone backtracking on the residual.
+form.  On a flat chart of at most 32 coordinates every other field goes
+to a damped Newton iteration first; elsewhere, or where Newton finds no
+descent step, a geometric fixed-point iteration runs, whose fixed points
+are exactly the solutions of the resolvent equation.  Its step length
+is the two-point (Barzilai-Borwein) estimate read from the last step
+taken, guarded by monotone backtracking on the residual.  Each residual
+norm is computed once: a field value that is the only one at its point
+needs no minimum-norm choice, and Newton's defect norms are
+``np.linalg.norm``'s arithmetic without its dispatch.
 
 Verification helpers check monotonicity, firm nonexpansiveness, the
 fixed-point inequality satisfied by firmly nonexpansive maps, and
@@ -34,6 +39,7 @@ from .manifold import (
     ManifoldPoint,
     TangentVector,
     _all_finite,
+    _euclidean_norm,
     attached,
     dist,
     exp_map,
@@ -122,7 +128,7 @@ class VectorField:
 
     def evaluate(self, x: ManifoldPoint) -> tuple[TangentVector, ...]:
         """All field values at x, validated to be finite tangents based at x."""
-        if x.manifold != self.manifold:
+        if x.manifold is not self.manifold and x.manifold != self.manifold:
             raise GeometryError(
                 f"field on {self.manifold.tag} evaluated at point on {x.manifold.tag}"
             )
@@ -235,10 +241,17 @@ def resolvent_residual(
 def _residual_vector(
     field: VectorField, lam: float, x: ManifoldPoint, z: ManifoldPoint
 ) -> TangentVector:
+    """The defect ``log_z(x) - lam * a`` of least norm over the values a in A(z).
+
+    A single value's defect is returned as it is, so a caller that needs
+    its norm computes that norm once.
+    """
     values = field.evaluate(z)
     if not values:
         raise DomainError(f"field {field.name} is empty at {z!r}")
     target = log_map(z, x)
+    if len(values) == 1:
+        return target - lam * values[0]
     return min((target - lam * a for a in values), key=norm)
 
 
@@ -279,7 +292,7 @@ def _solve(
     field: VectorField, cfg: ResolventConfig, x: ManifoldPoint, initial: ManifoldPoint | None = None
 ) -> tuple[ManifoldPoint, float, int]:
     """:func:`resolvent_with_residual` plus the inner steps run (0 in closed form)."""
-    if x.manifold != field.manifold:
+    if x.manifold is not field.manifold and x.manifold != field.manifold:
         raise GeometryError("query point is not on the field's manifold")
 
     if isinstance(field, LinearField):
@@ -334,7 +347,7 @@ def _newton_resolvent_flat(
 
     z = np.array(z0.coords, dtype=float)
     fz = defect(z)
-    rn = float(np.linalg.norm(fz))
+    rn = _euclidean_norm(fz)
     for k in range(cfg.inner_max_iter):
         if rn <= cfg.inner_tol:
             return man.point(z), rn, k
@@ -352,7 +365,7 @@ def _newton_resolvent_flat(
         while t > 1e-12:
             z_new = z + t * step
             f_new = defect(z_new)
-            rn_new = float(np.linalg.norm(f_new))
+            rn_new = _euclidean_norm(f_new)
             if rn_new < rn:
                 break
             t *= 0.5

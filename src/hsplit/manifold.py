@@ -28,7 +28,7 @@ import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +77,11 @@ _MIN_SAMPLE_NORM2 = 1e-20
 #: coordinates up to e^n x_0, and x_0 < sqrt(float max) at every point
 #: (its self-product is finite), so e^n x_0 stays below float max / e^0.5
 _EXP_MAX_NORM = (math.log(np.finfo(float).max) - 1.0) / 2.0
+#: two floats below this cannot overflow their sum
+_HALF_FLOAT_MAX = np.finfo(float).max / 2.0
+#: largest log of a bound on the entries an SPD exp accepts: its result is
+#: symmetrized by a sum of two entries, so they stay below float max / e
+_SPD_EXP_MAX_LOG = math.log(np.finfo(float).max) - 1.0
 
 
 def _stable_acosh1p(e: float) -> float:
@@ -128,7 +133,8 @@ def _as_coords(values) -> np.ndarray:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    # a freshly computed array needs no copy to become immutable
+    # a freshly computed array needs no copy to become immutable; the raw
+    # kernels return new float arrays
     arr.setflags(write=False)
     return arr
 
@@ -148,12 +154,64 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise GeometryError(f"non-finite {what}: {arr!r}")
 
 
-@dataclass(frozen=True, eq=False)
+def _euclidean_norm(d: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D array, ``sqrt(d.d)``, without its dispatch.
+
+    ``math.hypot`` replaces it only where the squares overflow before the
+    norm does.  The dot product cannot overflow on at most 32 entries
+    below 1e150 (32e300 < float max); any other array takes its dot under
+    ``np.errstate``, so an overflow there raises no numpy warning.
+    """
+    c = d.tolist()
+    if len(c) <= 32 and -1e150 < min(c) and max(c) < 1e150:
+        return math.sqrt(d.dot(d))
+    with np.errstate(over="ignore"):
+        n2 = d.dot(d)
+    return math.sqrt(n2) if n2 < math.inf else math.hypot(*c)
+
+
+def _flat_exp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x + v`` (v one tangent or rows of tangents): exp on a flat chart.
+
+    Two floats below half the float max cannot overflow their sum; where
+    an entry reaches it, the sum runs under ``np.errstate``, so an
+    overflow, which exp then rejects as a non-finite result, raises no
+    numpy warning.
+    """
+    c = x.tolist() + v.ravel().tolist()
+    if -_HALF_FLOAT_MAX < min(c) and max(c) < _HALF_FLOAT_MAX:
+        return x + v
+    with np.errstate(over="ignore"):
+        return x + v
+
+
+def _root_sum_squares(ds: list[float]) -> float:
+    # sqrt of the builtin sum of squares (Python 3.12 and later compensate
+    # that sum); hypot only where the squares overflow before the root does
+    try:
+        n2 = sum(d ** 2 for d in ds)
+    except OverflowError:
+        n2 = math.inf
+    return math.sqrt(n2) if n2 < math.inf else math.hypot(*ds)
+
+
+#: what the frozen constructors below set their fields with
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ManifoldPoint:
     """A point on a concrete Hadamard manifold, in ambient chart coordinates."""
 
     manifold: "Manifold"
     coords: np.ndarray
+
+    def __init__(self, manifold: "Manifold", coords: np.ndarray) -> None:
+        # the frozen dataclass __init__ looks object.__setattr__ up for each
+        # field; the alias costs less, and unlike writes to __dict__ it keeps
+        # the fields in the instance's compact inline storage
+        _setattr(self, "manifold", manifold)
+        _setattr(self, "coords", coords)
 
     @property
     def self_product(self) -> float:
@@ -173,12 +231,17 @@ class ManifoldPoint:
         return f"ManifoldPoint({self.manifold.tag}, {np.array2string(self.coords, precision=6)})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TangentVector:
     """A vector attached to a base point, in the base point's chart."""
 
     base: ManifoldPoint
     components: np.ndarray
+
+    def __init__(self, base: ManifoldPoint, components: np.ndarray) -> None:
+        # as ManifoldPoint.__init__
+        _setattr(self, "base", base)
+        _setattr(self, "components", components)
 
     @property
     def manifold(self) -> "Manifold":
@@ -243,7 +306,10 @@ class Manifold(ABC):
     :func:`attached` every base point.  ``_exp_points`` is the batched
     :meth:`exp` behind :meth:`exp_sphere`, :meth:`geodesic_points` and
     :meth:`random_points`: one ``_exp_rows`` call serves many tangents at
-    one base point, and every row equals :meth:`exp` bit for bit.
+    one base point, and every row equals :meth:`exp` bit for bit.  The
+    flat spaces (:attr:`is_flat`: ``Euclidean`` and products of flat
+    factors) also implement ``_flat_dist(d)``, the distance between two
+    points whose coordinates differ by d.
     """
 
     # -- shape ---------------------------------------------------------
@@ -381,7 +447,7 @@ class Manifold(ABC):
         if not attached(v, x):
             raise GeometryError("tangent vector is not attached to the given base point")
         _require_finite(v.components, "tangent components")
-        c = _as_coords(self._exp(x, v.components))
+        c = _frozen(self._exp(x, v.components))
         _require_finite(c, "point coordinates from exp")
         y = ManifoldPoint(self, c)
         self._validate_exp_point(y)
@@ -438,7 +504,7 @@ class Manifold(ABC):
         _check_same_manifold(x, y)
         if _same_coords(x, y):
             return self.zero_vector(x)
-        w = _as_coords(self._log(x, y))
+        w = _frozen(self._log(x, y))
         _require_finite(w, "tangent components from log")
         return TangentVector(x, w)
 
@@ -609,11 +675,16 @@ class Euclidean(Manifold):
         # the BLAS dot that `u @ v` calls, without matmul's dispatch
         return float(u.dot(v))
 
+    def norm(self, v: TangentVector) -> float:
+        # the base class's norm wherever the squares stay finite, without
+        # a numpy warning where they overflow
+        return _euclidean_norm(v.components)
+
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
-        return x.coords + v
+        return _flat_exp(x.coords, v)
 
     def _exp_rows(self, x: ManifoldPoint, v: np.ndarray) -> tuple[np.ndarray, None]:
-        return x.coords + v, None
+        return _flat_exp(x.coords, v), None
 
     def _tangent_rows(
         self, x: ManifoldPoint, directions: np.ndarray
@@ -628,6 +699,14 @@ class Euclidean(Manifold):
         # np.linalg.norm's arithmetic without its dispatch; hypot only where
         # the squares overflow before the distance does
         d = y.coords - x.coords
+        n2 = d.dot(d)
+        return math.sqrt(n2) if n2 < math.inf else math.hypot(*d.tolist())
+
+    def _flat_dist(self, d: np.ndarray) -> float:
+        """Distance between two points whose coordinates differ by d."""
+        # _dist's arithmetic, which _dist keeps inline for the raw-oracle
+        # solves; like it, and unlike _euclidean_norm, it takes no range
+        # check on this hot path, so numpy warns where the squares overflow
         n2 = d.dot(d)
         return math.sqrt(n2) if n2 < math.inf else math.hypot(*d.tolist())
 
@@ -914,11 +993,6 @@ class SPD(Manifold):
     def _sym(m: np.ndarray) -> np.ndarray:
         return (m + m.T) / 2.0
 
-    @staticmethod
-    def _funcm(m: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        w, vecs = np.linalg.eigh(m)
-        return (vecs * fn(w)) @ vecs.T
-
     def _sqrt_pair(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, vecs = np.linalg.eigh(p)
         if w[0] <= 0.0:
@@ -963,9 +1037,17 @@ class SPD(Manifold):
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         sq, isq = self._sqrt_pair(self._mat(x.coords))
-        s = self._sym(isq @ self._mat(v) @ isq)
-        e = self._funcm(s, np.exp)
-        return self._sym(sq @ e @ sq).ravel()
+        w, vecs = np.linalg.eigh(self._sym(isq @ self._mat(v) @ isq))
+        # every entry of expm(S) = V e^w V^T, of P^1/2 expm(S) and of the
+        # result is at most max(1, lambda_max(P)) e^max(w), and
+        # lambda_max(P) <= tr P; a NaN exponent fails the test too
+        tr = sum(x.coords[:: self.order + 1].tolist())
+        if not w[-1] + max(0.0, math.log(tr)) <= _SPD_EXP_MAX_LOG:
+            raise GeometryError(
+                f"point coordinates from exp leave the float range: "
+                f"largest exponent eigenvalue {float(w[-1])!r}, trace {tr!r}"
+            )
+        return self._sym(sq @ ((vecs * np.exp(w)) @ vecs.T) @ sq).ravel()
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         sq, isq = self._sqrt_pair(self._mat(x.coords))
@@ -1002,7 +1084,11 @@ class Product(Manifold):
 
     Coordinates are the concatenation of factor coordinates; geodesics,
     exponentials, and logarithms act factorwise, and squared distances
-    add across factors.
+    add across factors.  A product of flat factors (:attr:`is_flat`) is
+    itself a Euclidean chart: its ``exp``, ``log``, ``dist`` and point
+    checks compute on whole coordinate arrays and build no factor
+    points, with the factorwise arithmetic bit for bit (``dist`` still
+    takes each factor's own distance of its slice).
     """
 
     factors: tuple[Manifold, ...]
@@ -1020,7 +1106,7 @@ class Product(Manifold):
             start += f.ambient_dim
         return tuple(out)
 
-    @property
+    @cached_property
     def ambient_dim(self) -> int:
         return sum(f.ambient_dim for f in self.factors)
 
@@ -1032,7 +1118,7 @@ class Product(Manifold):
     def tag(self) -> str:
         return "product:(" + ",".join(f.tag for f in self.factors) + ")"
 
-    @property
+    @cached_property
     def is_flat(self) -> bool:
         return all(f.is_flat for f in self.factors)
 
@@ -1063,11 +1149,13 @@ class Product(Manifold):
         return np.concatenate([f._base_coords() for f in self.factors])
 
     def _validate_point(self, x: ManifoldPoint) -> None:
+        if self.is_flat:  # flat factors check nothing; skip building the parts
+            return
         for f, p in zip(self.factors, self._parts(x)):
             f._validate_point(p)
 
     def _validate_exp_point(self, y: ManifoldPoint) -> None:
-        if self.is_flat:  # flat factors check nothing; skip building the parts
+        if self.is_flat:
             return
         for f, p in zip(self.factors, self._parts(y)):
             f._validate_exp_point(p)
@@ -1090,11 +1178,15 @@ class Product(Manifold):
         )
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
+        if self.is_flat:
+            return _flat_exp(x.coords, v)
         return np.concatenate(
             [f._exp(p, v[s]) for f, p, s in zip(self.factors, self._parts(x), self._slices)]
         )
 
     def _exp_rows(self, x: ManifoldPoint, v: np.ndarray) -> tuple[np.ndarray, None]:
+        if self.is_flat:
+            return _flat_exp(x.coords, v), None
         parts = zip(self.factors, self._parts(x), self._slices)
         return np.hstack([f._exp_rows(p, v[:, s])[0] for f, p, s in parts]), None
 
@@ -1109,18 +1201,22 @@ class Product(Manifold):
         return np.hstack([w for w, _ in rows]), n2
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
+        if self.is_flat:
+            return y.coords - x.coords
         return np.concatenate(
             [f._log(p, q) for f, p, q in zip(self.factors, self._parts(x), self._parts(y))]
         )
 
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        ds = [f._dist(p, q) for f, p, q in zip(self.factors, self._parts(x), self._parts(y))]
-        try:
-            n2 = sum(d ** 2 for d in ds)
-        except OverflowError:
-            n2 = math.inf
-        # hypot only where the squares overflow before the distance does
-        return math.sqrt(n2) if n2 < math.inf else math.hypot(*ds)
+        if self.is_flat:
+            return self._flat_dist(y.coords - x.coords)
+        return _root_sum_squares(
+            [f._dist(p, q) for f, p, q in zip(self.factors, self._parts(x), self._parts(y))]
+        )
+
+    def _flat_dist(self, d: np.ndarray) -> float:
+        """Distance between two points of a flat product whose coordinates differ by d."""
+        return _root_sum_squares([f._flat_dist(d[s]) for f, s in zip(self.factors, self._slices)])
 
     def _frame(self, x: ManifoldPoint) -> np.ndarray:
         # the factor frames, each padded with zeros in the other factors

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsplit import apps, fields
 from hsplit.fields import (
@@ -35,6 +36,7 @@ from hsplit.manifold import (
     Euclidean,
     GeometryError,
     Hyperboloid,
+    Product,
     TangentVector,
     dist,
     exp_map,
@@ -223,8 +225,7 @@ def test_resolvent_steep_field_rejects_failing_trials(manifold, lam):
     steep = VectorField(manifold, lambda p: (-50.0 * (log_map(p, a) + log_map(p, b)),),
                         name="steep")
     cfg = ResolventConfig(lam=lam)
-    with np.errstate(all="ignore"):  # the rejected SPD trials overflow
-        z, res = resolvent_with_residual(steep, cfg, x)
+    z, res = resolvent_with_residual(steep, cfg, x)
     assert res <= cfg.inner_tol
     assert resolvent_residual(steep, lam, x, z) == res
 
@@ -493,3 +494,61 @@ def test_continuity_hyperboloid_distance_gradient(rng):
     limit = resolvent(f, ResolventConfig(lam=1.0), x)
     assert dist(limit, geodesic_point(x, p, 0.5)) < 1e-10
 
+
+
+# -- one norm per residual ----------------------------------------------------------------
+
+RESIDUAL_MANIFOLDS = (
+    Euclidean(2), Hyperboloid(2), SPD(2), Product((Euclidean(1), Euclidean(1))),
+    Product((Euclidean(1), Hyperboloid(2))),
+)
+
+
+def _single_valued_fields(m, rng):
+    a = m.random_point(rng, 2.0)
+    out = [
+        DistanceGradientField(a, 0.7),
+        VectorField(m, lambda p: (-3.0 * log_map(p, a),), name="steep"),
+    ]
+    if isinstance(m, Euclidean):
+        out.append(LinearField(m, rng.standard_normal((m.dim, m.dim))))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(RESIDUAL_MANIFOLDS), st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([0.1, 1.0, 10.0]))
+def test_single_value_residual_is_the_min_norm_defect_property(m, seed, lam):
+    # one value needs no choice: its defect is what min(..., key=norm) picks, bit for bit
+    rng = np.random.default_rng(seed)
+    x, z = m.random_point(rng, 2.0), m.random_point(rng, 2.0)
+    for field in _single_valued_fields(m, rng):
+        got = fields._residual_vector(field, lam, x, z)
+        target = log_map(z, x)
+        expected = min((target - lam * a for a in field.evaluate(z)), key=norm)
+        assert got.base is z
+        assert got.components.tobytes() == expected.components.tobytes()
+        assert resolvent_residual(field, lam, x, z) == norm(expected)
+
+
+@pytest.mark.parametrize("m", RESIDUAL_MANIFOLDS, ids=lambda m: m.tag)
+def test_resolvent_residual_takes_one_norm(m, rng, monkeypatch):
+    calls = []
+    cls = type(m)
+    kernel = cls.norm
+
+    def counted(self, v):
+        calls.append(v)
+        return kernel(self, v)
+
+    monkeypatch.setattr(cls, "norm", counted)
+    x, z = m.random_point(rng, 2.0), m.random_point(rng, 2.0)
+    for field in _single_valued_fields(m, rng):
+        calls.clear()
+        resolvent_residual(field, 1.0, x, z)
+        assert len(calls) == 1
+    # a field of two values takes the norm of each defect, and then of the least
+    two = VectorField(m, lambda p: (-log_map(p, x), 2.0 * -log_map(p, x)), name="two")
+    calls.clear()
+    resolvent_residual(two, 1.0, x, z)
+    assert len(calls) == 3

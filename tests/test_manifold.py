@@ -7,6 +7,7 @@ against a Schur-based matrix logarithm; closed-form identities
 seeded random data.
 """
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -23,7 +24,10 @@ from hsplit.manifold import (
     Euclidean,
     GeometryError,
     Hyperboloid,
+    ManifoldPoint,
     Product,
+    TangentVector,
+    _euclidean_norm,
     _finite_sum,
     _same_coords,
     _two_product,
@@ -135,17 +139,48 @@ def test_exp_nonfinite_rejected():
 
 
 def test_exp_overflowing_result_rejected():
-    # finite inputs whose endpoint overflows: x + v on the line, and the
-    # matrix exponential of 800*I on SPD (inf times zero gives NaN)
+    # finite inputs whose endpoint overflows: x + v on the line and on a
+    # flat product, and the matrix exponential of 800*I on SPD; each is
+    # refused before numpy warns
     line = Euclidean(1)
     x = line.point([1e308])
+    lines = Product((line, Euclidean(2)))
+    o = lines.point([0.0, 1e308, 0.0])
     spd = SPD(2)
     eye = spd.base_point()
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="from exp"):
             line.exp(x, line.tangent(x, [1e308]))
         with pytest.raises(GeometryError, match="from exp"):
+            lines.exp(o, lines.tangent(o, [0.0, 1e308, 0.0]))
+        with pytest.raises(GeometryError, match="from exp"):
             spd.exp(eye, spd.tangent(eye, 800.0 * np.eye(2).ravel()))
+
+
+def _old_spd_exp(m, x, v):
+    # SPD._exp as it was before it bounded the exponent
+    sq, isq = m._sqrt_pair(m._mat(x.coords))
+    w, vecs = np.linalg.eigh(m._sym(isq @ m._mat(v.components) @ isq))
+    return m._sym(sq @ ((vecs * np.exp(w)) @ vecs.T) @ sq).ravel()
+
+
+def test_spd_exp_bounds_the_result_before_np_exp():
+    # P^1/2 expm(S) P^1/2 has entries up to tr(P) e^max eig(S): the exponent
+    # 800, and 20 at the scale 1e300, leave the float range; 700 and 708 at
+    # the identity, and 20 at 1e280, stay inside it and keep their bits
+    m = SPD(2)
+    eye = m.base_point()
+    big, huge = m.point(1e280 * np.eye(2).ravel()), m.point(1e300 * np.eye(2).ravel())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, top in ((eye, 800.0), (huge, 20.0)):
+            v = m.tangent(x, x.coords * np.array([top, 0.0, 0.0, 1.0]))
+            with pytest.raises(GeometryError, match="point coordinates from exp leave the float range"):
+                m.exp(x, v)
+        for x, top in ((eye, 700.0), (eye, 708.0), (big, 20.0)):
+            v = m.tangent(x, x.coords * np.array([top, 0.0, 0.0, 1.0]))
+            assert m.exp(x, v).coords.tolist() == _old_spd_exp(m, x, v).tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -992,3 +1027,149 @@ def test_euclidean_inner_matches_matmul(rng):
         for _ in range(200):
             u, v = rng.standard_normal(k) * 10.0 ** rng.integers(-5, 5), rng.standard_normal(k)
             assert m._inner(u, u, v) == float(u @ v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(vector_pairs, st.sampled_from([1e-140, 1.0, 1e5, 1e7]))
+def test_euclidean_norm_matches_linalg_norm_property(pair, scale):
+    # sqrt(d.d) bit for bit wherever the squares stay finite, hypot where
+    # they overflow (entries up to 1e157), and no numpy warning either way
+    d = scale * np.array(pair[0])
+    with np.errstate(over="ignore"):
+        expected = float(np.linalg.norm(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _euclidean_norm(d)
+    assert type(got) is float
+    if math.isfinite(expected):
+        assert got == expected
+    else:
+        assert got == math.hypot(*d.tolist())
+
+
+# -- flat products on whole arrays -------------------------------------------------------
+#
+# A product of flat factors computes exp, log, dist and its point checks on
+# the whole coordinate array.  Each result must equal the factorwise
+# arithmetic kept below, bit for bit, out to coordinates near 1e155, where
+# the squares of a distance overflow and it takes hypot.
+
+
+def _reference_exp(m, x, v):
+    if isinstance(m, Euclidean):
+        return x + v
+    return np.concatenate([_reference_exp(f, x[s], v[s]) for f, s in zip(m.factors, m._slices)])
+
+
+def _reference_log(m, x, y):
+    if isinstance(m, Euclidean):
+        return y - x
+    return np.concatenate([_reference_log(f, x[s], y[s]) for f, s in zip(m.factors, m._slices)])
+
+
+def _reference_dist(m, x, y):
+    if isinstance(m, Euclidean):
+        d = y - x
+        with np.errstate(over="ignore"):
+            n2 = d.dot(d)
+        return math.sqrt(n2) if n2 < math.inf else math.hypot(*d.tolist())
+    ds = [_reference_dist(f, x[s], y[s]) for f, s in zip(m.factors, m._slices)]
+    try:
+        n2 = sum(d ** 2 for d in ds)
+    except OverflowError:
+        n2 = math.inf
+    return math.sqrt(n2) if n2 < math.inf else math.hypot(*ds)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+E1, E2 = Euclidean(1), Euclidean(2)
+FLAT_PRODUCTS = (
+    Product((E1, E1)), Product((E2, E1, E1)), Product((E1, Product((E1, E2)))),
+)
+flat_coords = st.lists(
+    st.one_of(
+        st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+        st.floats(min_value=0.5e155, max_value=2e155).flatmap(lambda b: st.sampled_from([b, -b])),
+    ),
+    min_size=8, max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(FLAT_PRODUCTS), flat_coords, flat_coords, flat_coords,
+       st.floats(min_value=0.0, max_value=1.0))
+def test_flat_product_matches_factorwise_reference_property(m, a, b, w, t):
+    n = m.ambient_dim
+    a, b, w = (np.array(c[:n]) for c in (a, b, w))
+    x, y = m.point(a), m.point(b)
+    v = m.tangent(x, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {
+            "point": m.point(a).coords,
+            "exp": m.exp(x, v).coords,
+            "log": m.log(x, y).components,
+            "geodesic": m.geodesic(x, y, t).coords,
+        }
+    with np.errstate(over="ignore"):  # a factor's squares may overflow, as on Euclidean
+        got["dist"] = m.dist(x, y)
+    mid = _reference_exp(m, a, float(t) * _reference_log(m, a, b))
+    expected = {
+        "point": a,
+        "exp": _reference_exp(m, a, w),
+        "log": _reference_log(m, a, b),
+        "geodesic": a if t == 0.0 else b if t == 1.0 else mid,
+        "dist": _reference_dist(m, a, b),
+    }
+    assert {k: _bits(val) for k, val in got.items()} == {k: _bits(val) for k, val in expected.items()}
+    assert type(got["dist"]) is float
+    # the whole-array kernels leave the factor points unbuilt
+    assert "_parts" not in x.__dict__ and "_parts" not in y.__dict__
+    assert [p.coords.tolist() for p in m.split_point(x)] == [a[s].tolist() for s in m._slices]
+
+
+def test_product_with_a_curved_factor_keeps_factorwise_results(rng):
+    # a Hyperboloid(2) factor keeps the product on its factor kernels: each
+    # result is the factors' own, joined, and squared distances add
+    m = Product((E1, Hyperboloid(2), E2))
+    assert not m.is_flat
+    for _ in range(30):
+        x, y = random_pair(m, rng, 3.0)
+        v = m.random_tangent(rng, x, 2.0)
+        xs, ys = m.split_point(x), m.split_point(y)
+        vs = [f.tangent(p, v.components[s]) for f, p, s in zip(m.factors, xs, m._slices)]
+        exp_parts = [f.exp(p, u).coords for f, p, u in zip(m.factors, xs, vs)]
+        log_parts = [f.log(p, q).components for f, p, q in zip(m.factors, xs, ys)]
+        dists = [f.dist(p, q) for f, p, q in zip(m.factors, xs, ys)]
+        assert _bits(m.exp(x, v).coords) == _bits(np.concatenate(exp_parts))
+        assert _bits(m.log(x, y).components) == _bits(np.concatenate(log_parts))
+        assert m.dist(x, y) == math.sqrt(sum(d ** 2 for d in dists))
+
+
+def test_product_caches_its_shape():
+    m = Product((E1, Product((E1, E2))))
+    assert (m.ambient_dim, m.is_flat) == (4, True)
+    assert {"ambient_dim", "is_flat"} <= m.__dict__.keys()
+    assert not Product((E1, Hyperboloid(2))).is_flat
+
+
+def test_points_and_tangents_stay_frozen_values():
+    m = E2
+    x = m.point([1.0, 2.0])
+    v = m.tangent(x, [0.5, -0.5])
+    for obj, field in ((x, "coords"), (x, "manifold"), (v, "components"), (v, "base")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, field)
+    y = dataclasses.replace(x, coords=np.array([3.0, 4.0]))
+    assert type(y) is ManifoldPoint and y.manifold is m and y.coords.tolist() == [3.0, 4.0]
+    assert x.coords.tolist() == [1.0, 2.0]
+    u = dataclasses.replace(v, base=y)
+    assert type(u) is TangentVector and u.base is y and u.components is v.components
+    assert ManifoldPoint(manifold=m, coords=x.coords).coords is x.coords
+    assert [f.name for f in dataclasses.fields(ManifoldPoint)] == ["manifold", "coords"]
+    assert [f.name for f in dataclasses.fields(TangentVector)] == ["base", "components"]

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -428,16 +429,15 @@ def test_run_geometry_failure_keeps_trace():
     assert [rec.n for rec in trace.records] == list(range(trace.iterations))
     steep = VectorField(m, lambda x: (1e6 * -log_map(x, base),), name="steep")
     prob = ProblemInstance(m, m.point([math.cosh(1.0), math.sinh(1.0), 0.0]), field=steep)
-    with np.errstate(all="ignore"):
-        assert run(prob, stop=StoppingRule(max_iter=50)).termination_reason == "step_tol"
+    assert run(prob, stop=StoppingRule(max_iter=50)).termination_reason == "step_tol"
 
 
 def test_run_overflowing_exp_keeps_trace():
     # the damped fixed-point step overflows exp: a field 1e6 times too
     # steep on SPD(2), and a field with a singular Newton system at
-    # 1.5e308 on the line.  Each overflowing trial is rejected and the
-    # step halves until the resolvent stalls; each run ends with the
-    # stall and a trace
+    # 1.5e308 on the line.  Each overflowing trial is rejected, before
+    # numpy warns, and the step halves until the resolvent stalls; each
+    # run ends with the stall and a trace
     spd = SPD(2)
     a = spd.point(np.diag([2.0, 3.0]).ravel())
     steep = VectorField(spd, lambda x: (1e6 * -log_map(x, a),), name="steep")
@@ -447,7 +447,8 @@ def test_run_overflowing_exp_keeps_trace():
         ProblemInstance(spd, spd.base_point(), field=steep),
         ProblemInstance(line, line.point([1.5e308]), field=anti),
     ):
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             trace = run(prob, stop=StoppingRule(max_iter=50))
         assert trace.termination_reason == "resolvent_failure"
         assert "stalled" in trace.error
