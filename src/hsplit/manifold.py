@@ -77,8 +77,6 @@ _MIN_SAMPLE_NORM2 = 1e-20
 #: coordinates up to e^n x_0, and x_0 < sqrt(float max) at every point
 #: (its self-product is finite), so e^n x_0 stays below float max / e^0.5
 _EXP_MAX_NORM = (math.log(np.finfo(float).max) - 1.0) / 2.0
-#: two floats below this cannot overflow their sum
-_HALF_FLOAT_MAX = np.finfo(float).max / 2.0
 #: largest log of a bound on the entries an SPD exp accepts: its result is
 #: symmetrized by a sum of two entries, so they stay below float max / e
 _SPD_EXP_MAX_LOG = math.log(np.finfo(float).max) - 1.0
@@ -173,14 +171,9 @@ def _euclidean_norm(d: np.ndarray) -> float:
 def _flat_exp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``x + v`` (v one tangent or rows of tangents): exp on a flat chart.
 
-    Two floats below half the float max cannot overflow their sum; where
-    an entry reaches it, the sum runs under ``np.errstate``, so an
-    overflow, which exp then rejects as a non-finite result, raises no
-    numpy warning.
+    The sum runs under ``np.errstate``, so an overflow, which exp then
+    rejects as a non-finite result, raises no numpy warning.
     """
-    c = x.tolist() + v.ravel().tolist()
-    if -_HALF_FLOAT_MAX < min(c) and max(c) < _HALF_FLOAT_MAX:
-        return x + v
     with np.errstate(over="ignore"):
         return x + v
 
@@ -195,23 +188,12 @@ def _root_sum_squares(ds: list[float]) -> float:
     return math.sqrt(n2) if n2 < math.inf else math.hypot(*ds)
 
 
-#: what the frozen constructors below set their fields with
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     """A point on a concrete Hadamard manifold, in ambient chart coordinates."""
 
     manifold: "Manifold"
     coords: np.ndarray
-
-    def __init__(self, manifold: "Manifold", coords: np.ndarray) -> None:
-        # the frozen dataclass __init__ looks object.__setattr__ up for each
-        # field; the alias costs less, and unlike writes to __dict__ it keeps
-        # the fields in the instance's compact inline storage
-        _setattr(self, "manifold", manifold)
-        _setattr(self, "coords", coords)
 
     @property
     def self_product(self) -> float:
@@ -231,17 +213,12 @@ class ManifoldPoint:
         return f"ManifoldPoint({self.manifold.tag}, {np.array2string(self.coords, precision=6)})"
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class TangentVector:
     """A vector attached to a base point, in the base point's chart."""
 
     base: ManifoldPoint
     components: np.ndarray
-
-    def __init__(self, base: ManifoldPoint, components: np.ndarray) -> None:
-        # as ManifoldPoint.__init__
-        _setattr(self, "base", base)
-        _setattr(self, "components", components)
 
     @property
     def manifold(self) -> "Manifold":
@@ -696,19 +673,11 @@ class Euclidean(Manifold):
         return y.coords - x.coords
 
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        # np.linalg.norm's arithmetic without its dispatch; hypot only where
-        # the squares overflow before the distance does
-        d = y.coords - x.coords
-        n2 = d.dot(d)
-        return math.sqrt(n2) if n2 < math.inf else math.hypot(*d.tolist())
+        return _euclidean_norm(y.coords - x.coords)
 
     def _flat_dist(self, d: np.ndarray) -> float:
         """Distance between two points whose coordinates differ by d."""
-        # _dist's arithmetic, which _dist keeps inline for the raw-oracle
-        # solves; like it, and unlike _euclidean_norm, it takes no range
-        # check on this hot path, so numpy warns where the squares overflow
-        n2 = d.dot(d)
-        return math.sqrt(n2) if n2 < math.inf else math.hypot(*d.tolist())
+        return _euclidean_norm(d)
 
     def _frame(self, x: ManifoldPoint) -> np.ndarray:
         return np.eye(self.dim)
@@ -1038,14 +1007,16 @@ class SPD(Manifold):
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         sq, isq = self._sqrt_pair(self._mat(x.coords))
         w, vecs = np.linalg.eigh(self._sym(isq @ self._mat(v) @ isq))
-        # every entry of expm(S) = V e^w V^T, of P^1/2 expm(S) and of the
-        # result is at most max(1, lambda_max(P)) e^max(w), and
-        # lambda_max(P) <= tr P; a NaN exponent fails the test too
-        tr = sum(x.coords[:: self.order + 1].tolist())
-        if not w[-1] + max(0.0, math.log(tr)) <= _SPD_EXP_MAX_LOG:
+        # row i of P^1/2 has norm sqrt(P_ii), and expm(S) = V e^w V^T has
+        # spectral norm e^max(w), so every entry of expm(S), of P^1/2 expm(S)
+        # and of the result, and each partial sum on the way, is at most
+        # max(1, max_i P_ii) e^max(w); a NaN exponent fails the test too
+        top = max(x.coords[:: self.order + 1].tolist())
+        if not w[-1] + max(0.0, math.log(top)) <= _SPD_EXP_MAX_LOG:
             raise GeometryError(
                 f"point coordinates from exp leave the float range: "
-                f"largest exponent eigenvalue {float(w[-1])!r}, trace {tr!r}"
+                f"largest exponent eigenvalue {float(w[-1])!r}, "
+                f"largest diagonal entry {top!r}"
             )
         return self._sym(sq @ ((vecs * np.exp(w)) @ vecs.T) @ sq).ravel()
 

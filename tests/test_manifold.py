@@ -166,9 +166,10 @@ def _old_spd_exp(m, x, v):
 
 
 def test_spd_exp_bounds_the_result_before_np_exp():
-    # P^1/2 expm(S) P^1/2 has entries up to tr(P) e^max eig(S): the exponent
-    # 800, and 20 at the scale 1e300, leave the float range; 700 and 708 at
-    # the identity, and 20 at 1e280, stay inside it and keep their bits
+    # P^1/2 expm(S) P^1/2 has entries up to max_i P_ii e^max eig(S): the
+    # exponent 800, and 20 at the scale 1e300, leave the float range; 700
+    # and 708 at the identity, 20 at 1e280 and 18 at 1e300 (6.6e307, beyond
+    # a bound by the trace) stay inside it and keep their bits
     m = SPD(2)
     eye = m.base_point()
     big, huge = m.point(1e280 * np.eye(2).ravel()), m.point(1e300 * np.eye(2).ravel())
@@ -178,7 +179,7 @@ def test_spd_exp_bounds_the_result_before_np_exp():
             v = m.tangent(x, x.coords * np.array([top, 0.0, 0.0, 1.0]))
             with pytest.raises(GeometryError, match="point coordinates from exp leave the float range"):
                 m.exp(x, v)
-        for x, top in ((eye, 700.0), (eye, 708.0), (big, 20.0)):
+        for x, top in ((eye, 700.0), (eye, 708.0), (big, 20.0), (huge, 18.0)):
             v = m.tangent(x, x.coords * np.array([top, 0.0, 0.0, 1.0]))
             assert m.exp(x, v).coords.tolist() == _old_spd_exp(m, x, v).tolist()
 
@@ -323,7 +324,8 @@ def test_flat_dist_and_norm_past_overflowing_squares(big):
     lines = Product((line, line))
     o1, o2, oo = line.point([0.0]), plane.point([0.0, 0.0]), lines.point([0.0, 0.0])
     h = hyp.point([math.cosh(1.0), math.sinh(1.0)])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cases = [
             (line.dist(o1, line.point([big])), (big,)),
             (line.dist(line.point([-big / 4]), line.point([big / 2])), (0.75 * big,)),
@@ -331,8 +333,10 @@ def test_flat_dist_and_norm_past_overflowing_squares(big):
             (norm(line.tangent(o1, [big])), (big,)),
             (norm(plane.tangent(o2, [-big / 3, big])), (-big / 3, big)),
             (lines.dist(oo, lines.point([big, -big / 3])), (big, -big / 3)),
-            (norm(lines.tangent(oo, [big, -big / 3])), (big, -big / 3)),
         ]
+    # a product's norm and the Minkowski norm still warn over overflowing squares
+    with np.errstate(over="ignore"):
+        cases.append((norm(lines.tangent(oo, [big, -big / 3])), (big, -big / 3)))
         # both squares of a tangent off the hyperboloid's apex overflow; its
         # norm cancels -sinh^2 + cosh^2, which costs a few ulps
         curved = norm(hyp.tangent(h, [big * math.sinh(1.0), big * math.cosh(1.0)]))
@@ -1113,9 +1117,8 @@ def test_flat_product_matches_factorwise_reference_property(m, a, b, w, t):
             "exp": m.exp(x, v).coords,
             "log": m.log(x, y).components,
             "geodesic": m.geodesic(x, y, t).coords,
+            "dist": m.dist(x, y),
         }
-    with np.errstate(over="ignore"):  # a factor's squares may overflow, as on Euclidean
-        got["dist"] = m.dist(x, y)
     mid = _reference_exp(m, a, float(t) * _reference_log(m, a, b))
     expected = {
         "point": a,
