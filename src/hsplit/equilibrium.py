@@ -29,11 +29,17 @@ inequality (``F(z, z) = 0``), the other first-order optimality at
 oracle by central differences, and one solver runs per resolvent.  Its
 output is then certified on one probe set, the guard against oracles
 that break the convexity assumption: the bifunction's anchors plus 64
-probes sampled at radius 0.1.  A sampled probe ``y = exp_z(v)`` carries
-its tangent v, so the certificate reads ``<log_z x, v>`` without a
-logarithm and costs one oracle call per probe beyond one batched
-:meth:`~hsplit.manifold.Manifold.exp_sphere`.  Such a bifunction needs
-at least one anchor.
+probes sampled at radius 0.1.  Such a bifunction needs at least one
+anchor.
+
+Both probe sets of a raw oracle are rows at one point.  The stencil
+points ``exp_z(+-h b)`` of a diagonal gradient come from one batched
+exponential, and so do the 64 certificate probes ``y_k = exp_z(v_k)``.
+The certificate keeps the tangent rows v_k, so it reads each term
+``<log_z x, v_k>`` without a logarithm, all of them from one row call
+of the metric.  Every point and every term equals the single call bit
+for bit, so a resolvent costs its oracle calls plus that exact
+geometry.
 
 Both kinds share one config type: :func:`resolvent_T` takes the
 :class:`fields.ResolventConfig` of a field resolvent, reads its ``lam``
@@ -57,7 +63,6 @@ from .manifold import (
     Manifold,
     ManifoldPoint,
     TangentVector,
-    exp_map,
     inner,
     log_map,
 )
@@ -140,13 +145,23 @@ class Bifunction:
         )
 
     def _diagonal_gradient(self, z: ManifoldPoint) -> tuple[TangentVector]:
-        """Central differences of ``t -> F(z, exp_z(t b))`` per basis vector b."""
-        grad = np.zeros(z.manifold.ambient_dim)
-        for b in z.manifold.tangent_basis(z):
-            fwd = self.eval(z, exp_map(z, _FD_STEP * b))
-            bwd = self.eval(z, exp_map(z, -_FD_STEP * b))
-            grad += ((fwd - bwd) / (2.0 * _FD_STEP)) * b.components
-        return (z.manifold.tangent(z, grad, project=True),)
+        """Central differences of ``t -> F(z, exp_z(t b))`` per basis vector b.
+
+        The stencil points ``exp_z(h b), exp_z(-h b)``, for every b in
+        turn, come from one batched exp, each bit for bit the single call.
+        """
+        man = z.manifold
+        frame = man._frame(z)
+        steps = np.empty((2 * len(frame), frame.shape[1]))
+        steps[0::2] = _FD_STEP * frame
+        steps[1::2] = -_FD_STEP * frame
+        stencil = man._exp_points(z, steps)
+        grad = np.zeros(man.ambient_dim)
+        for b, fwd_y, bwd_y in zip(frame, stencil[0::2], stencil[1::2]):
+            fwd = self.eval(z, fwd_y)
+            bwd = self.eval(z, bwd_y)
+            grad += ((fwd - bwd) / (2.0 * _FD_STEP)) * b
+        return (man.tangent(z, grad, project=True),)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bifunction({self.name!r}, on {self.manifold.tag})"
@@ -226,27 +241,38 @@ def equilibrium_residual(
     *,
     x: ManifoldPoint | None = None,
     r: float = 1.0,
-    sampled: Sequence[tuple[TangentVector, ManifoldPoint]] = (),
+    sampled: tuple[np.ndarray, Sequence[ManifoldPoint]] | None = None,
 ) -> float:
     """Worst violation of the (regularized) variational inequality at z.
 
     With ``x`` given, evaluates ``min_y F(z,y) - (1/r)<log_z x, log_z y>``
     over the probe points y; without it, plain ``min_y F(z,y)``.
-    ``sampled`` adds probes as pairs ``(v, y)`` with ``y = exp_z(v)``,
-    whose term reads ``<log_z x, v>``: the tangent is carried, not
-    recovered by a logarithm.  Nonnegative (up to solver tolerance) when
-    z solves the respective problem; only the probed directions are
-    certified.
+    ``sampled`` adds probes after them as a pair ``(v, points)``: tangent
+    rows v_k at z, one per probe, and the points ``exp_z(v_k)``.  Their
+    terms read ``<log_z x, v_k>``: the tangent is carried, not recovered
+    by a logarithm, and one row call of the metric gives every term, each
+    bit for bit what :func:`~hsplit.manifold.inner` gives.  Nonnegative
+    (up to solver tolerance) when z solves the respective problem; only
+    the probed directions are certified.
     """
-    if not probes and not sampled:
+    rows, points = sampled if sampled is not None else (None, ())
+    if not probes and not points:
         raise EquilibriumError("no probe directions supplied")
     worst = math.inf
-    log_zx = log_map(z, x) if x is not None else None
-    for v, y in itertools.chain(((None, y) for y in probes), sampled):
-        val = bifun.eval(z, y)
-        if log_zx is not None:
-            val -= inner(log_zx, log_map(z, y) if v is None else v) / r
-        worst = min(worst, val)
+    if x is None:
+        for y in itertools.chain(probes, points):
+            worst = min(worst, bifun.eval(z, y))
+        return worst
+    log_zx = log_map(z, x)
+    for y in probes:
+        worst = min(worst, bifun.eval(z, y) - inner(log_zx, log_map(z, y)) / r)
+    if points:
+        terms = z.manifold._inner_rows(z.coords, log_zx.components, rows)
+        for y, term in zip(points, terms):
+            val = bifun.eval(z, y)
+            if not math.isfinite(term):
+                raise GeometryError(f"non-finite inner product {term!r}")
+            worst = min(worst, val - term / r)
     return worst
 
 
@@ -267,10 +293,12 @@ def _certificate_normals(seed: int, ambient_dim: int) -> np.ndarray:
 
 def _certificate_probes(
     bifun: Bifunction, z: ManifoldPoint, seed: int
-) -> tuple[tuple[ManifoldPoint, ...], list[tuple[TangentVector, ManifoldPoint]]]:
-    """The anchors, and the 64 sampled ``(v, exp_z v)`` pairs at radius 0.1."""
+) -> tuple[tuple[ManifoldPoint, ...], tuple[np.ndarray, list[ManifoldPoint]]]:
+    """The anchors, and the 64 tangent rows v_k at radius 0.1 with their
+    points ``exp_z v_k``, as :meth:`~hsplit.manifold.Manifold.exp_sphere`
+    draws them."""
     normals = _certificate_normals(seed, z.manifold.ambient_dim)
-    return bifun.anchors, z.manifold.exp_sphere(z, normals, _CERT_RADIUS)
+    return bifun.anchors, z.manifold._sphere_points(z, normals, _CERT_RADIUS)
 
 
 def resolvent_T(

@@ -40,6 +40,8 @@ from .manifold import (
     TangentVector,
     _all_finite,
     _euclidean_norm,
+    _frozen,
+    _require_finite,
     attached,
     dist,
     exp_map,
@@ -342,7 +344,10 @@ def _newton_resolvent_flat(
     dim = man.ambient_dim
 
     def defect(coords: np.ndarray) -> np.ndarray:
-        a = field.selection(man.point(coords))
+        # what man.point checks of a flat point, without its copy: every
+        # coords array here is fresh and never written again
+        _require_finite(coords, "point coordinates")
+        a = field.selection(ManifoldPoint(man, _frozen(coords)))
         return coords - x.coords + cfg.lam * a.components
 
     z = np.array(z0.coords, dtype=float)

@@ -73,6 +73,9 @@ SINHC_SERIES_CUT = 1e-5
 DEGENERATE_SIDE_TOL = 1e-14
 #: squared tangent norm below which a sampled direction counts as zero
 _MIN_SAMPLE_NORM2 = 1e-20
+#: fewest rows the Hyperboloid's array exp serves; fewer loop the scalar
+#: kernel, which costs less below about six rows
+_ROW_KERNEL_MIN = 6
 #: largest tangent norm n a Hyperboloid exp accepts: its endpoint holds
 #: coordinates up to e^n x_0, and x_0 < sqrt(float max) at every point
 #: (its self-product is finite), so e^n x_0 stays below float max / e^0.5
@@ -109,7 +112,11 @@ def _sphere_scale(n2: np.ndarray, radii: float | np.ndarray) -> np.ndarray:
     # per-row factor taking squared norms n2 to `radii` (one, or one per
     # row), as random_tangent computes it
     if not np.all(n2 > _MIN_SAMPLE_NORM2):
-        raise GeometryError("a sphere direction has no tangential part")
+        raise GeometryError(
+            "a sphere direction has no tangential part: the direction is zero, or "
+            "the base point is at the edge of the chart, where its coordinates "
+            "swamp the direction's projection"
+        )
     return radii / np.sqrt(n2)
 
 
@@ -122,6 +129,18 @@ def _finite_sum(terms: list[float]) -> float:
     if not math.isfinite(total):
         raise GeometryError("Minkowski form overflows the float range")
     return total
+
+
+def _finite_row_sums(rows: list[list[float]]) -> np.ndarray:
+    # _finite_sum of every row, bit for bit: one map over the rows, and the
+    # per-row form only where that map raises, to raise its error
+    try:
+        sums = list(map(math.fsum, rows))
+    except (OverflowError, ValueError):
+        sums = [_finite_sum(r) for r in rows]
+    if not all(map(math.isfinite, sums)):
+        raise GeometryError("Minkowski form overflows the float range")
+    return np.array(sums)
 
 
 def _as_coords(values) -> np.ndarray:
@@ -152,6 +171,12 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise GeometryError(f"non-finite {what}: {arr!r}")
 
 
+def _squares_fit(c: list[float]) -> bool:
+    # a sum of products of at most 32 entries below 1e150 stays below
+    # 32e300 < float max, so a dot over them cannot overflow
+    return len(c) <= 32 and -1e150 < min(c) and max(c) < 1e150
+
+
 def _euclidean_norm(d: np.ndarray) -> float:
     """``np.linalg.norm`` of a 1-D array, ``sqrt(d.d)``, without its dispatch.
 
@@ -161,11 +186,21 @@ def _euclidean_norm(d: np.ndarray) -> float:
     ``np.errstate``, so an overflow there raises no numpy warning.
     """
     c = d.tolist()
-    if len(c) <= 32 and -1e150 < min(c) and max(c) < 1e150:
+    if _squares_fit(c):
         return math.sqrt(d.dot(d))
     with np.errstate(over="ignore"):
         n2 = d.dot(d)
     return math.sqrt(n2) if n2 < math.inf else math.hypot(*c)
+
+
+def _flat_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y - x``: log on a flat chart, and the difference a flat distance measures.
+
+    Taken on Python floats: the same IEEE differences as the array
+    subtraction, but one that overflows gives inf, which log and dist
+    then reject as a non-finite result, without a numpy warning.
+    """
+    return np.fromiter(map(operator.sub, y.tolist(), x.tolist()), float, len(x))
 
 
 def _flat_exp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -188,12 +223,28 @@ def _root_sum_squares(ds: list[float]) -> float:
     return math.sqrt(n2) if n2 < math.inf else math.hypot(*ds)
 
 
+#: stores a value computed from a point's read-only coordinates on the
+#: point; the instance keeps it among its inline attribute values, where a
+#: write through ``__dict__`` would build a dictionary for every point
+_keep = object.__setattr__
+
+
 @dataclass(frozen=True, eq=False)
 class ManifoldPoint:
-    """A point on a concrete Hadamard manifold, in ambient chart coordinates."""
+    """A point on a concrete Hadamard manifold, in ambient chart coordinates.
+
+    Besides its two fields a point keeps values computed from its
+    coordinates: the Hyperboloid self-product, a product point's factor
+    points, and the distance memo of :meth:`Manifold.dist`.  The class
+    attributes below are their "not yet computed" values.
+    """
 
     manifold: "Manifold"
     coords: np.ndarray
+
+    _self_product = None
+    _parts = None
+    _dist_memo = None
 
     @property
     def self_product(self) -> float:
@@ -203,10 +254,10 @@ class ManifoldPoint:
         value is computed once, on first use, and never goes stale.
         """
         # a plain memo: cached_property takes a lock on Python < 3.12
-        q = self.__dict__.get("_self_product")
+        q = self._self_product
         if q is None:
             q = Hyperboloid.minkowski_exact(self.coords, self.coords)
-            self.__dict__["_self_product"] = q
+            _keep(self, "_self_product", q)
         return q
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -283,10 +334,16 @@ class Manifold(ABC):
     :func:`attached` every base point.  ``_exp_points`` is the batched
     :meth:`exp` behind :meth:`exp_sphere`, :meth:`geodesic_points` and
     :meth:`random_points`: one ``_exp_rows`` call serves many tangents at
-    one base point, and every row equals :meth:`exp` bit for bit.  The
-    flat spaces (:attr:`is_flat`: ``Euclidean`` and products of flat
-    factors) also implement ``_flat_dist(d)``, the distance between two
-    points whose coordinates differ by d.
+    one base point, and every row equals :meth:`exp` bit for bit.  It is
+    the one row path for every probe set at one point: the equilibrium
+    certificate's sphere rows, the finite-difference stencil of a raw
+    oracle and the membership probes each take one call.
+    ``_inner_rows(x, u, v)`` is ``_inner(x, u, v_k)`` for every row v_k,
+    bit for bit, so a probe set's metric terms take one call too.
+    :meth:`dist` keeps a per-point memo of the last distance a point
+    measured.  The flat spaces (:attr:`is_flat`: ``Euclidean`` and
+    products of flat factors) also implement ``_flat_dist(d)``, the
+    distance between two points whose coordinates differ by d.
     """
 
     # -- shape ---------------------------------------------------------
@@ -348,6 +405,10 @@ class Manifold(ABC):
         squared norm ``_inner`` gives each projected row."""
         w = np.array([self._project_tangent(x.coords, d) for d in directions])
         return w, np.array([self._inner(x.coords, r, r) for r in w])
+
+    def _inner_rows(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[float]:
+        """``_inner(x, u, v_k)`` for every row v_k of v, bit for bit."""
+        return [self._inner(x, u, r) for r in v]
 
     def _sphere_tangents(
         self, x: ManifoldPoint, directions: np.ndarray, radii: float | np.ndarray
@@ -439,7 +500,10 @@ class Manifold(ABC):
         is projected to T_x and rescaled to Riemannian norm ``radius``.
         Its pair equals, bit for bit, ``v = random_tangent(rng, x, radius)``
         with a generator that draws that row, followed by ``exp(x, v)``;
-        one kernel call serves every row.
+        one kernel call serves every row.  A row with no tangential part
+        raises :class:`GeometryError` where ``random_tangent`` would draw
+        again: a zero row, or, at the edge of the chart, a row whose
+        projection the coordinates of x swamp.
         """
         self._own_point(x)
         directions = np.asarray(directions, dtype=float)
@@ -451,9 +515,17 @@ class Manifold(ABC):
         _require_finite(directions, "directions")
         if not 0.0 < radius < math.inf:
             raise GeometryError(f"sphere radius {radius!r} is not positive and finite")
-        v = _frozen(self._sphere_tangents(x, directions, float(radius)))
+        v, points = self._sphere_points(x, directions, float(radius))
         # the rows are read-only views, as immutable as coordinates of their own
-        return [(TangentVector(x, vk), y) for vk, y in zip(v, self._exp_points(x, v))]
+        return [(TangentVector(x, vk), y) for vk, y in zip(v, points)]
+
+    def _sphere_points(
+        self, x: ManifoldPoint, directions: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, list[ManifoldPoint]]:
+        """:meth:`exp_sphere` as rows, for checked arguments: the read-only
+        tangent rows v_k at x and the points ``exp(x, v_k)``."""
+        v = _frozen(self._sphere_tangents(x, directions, radius))
+        return v, self._exp_points(x, v)
 
     def _exp_points(self, x: ManifoldPoint, v: np.ndarray) -> list[ManifoldPoint]:
         """``exp(x, v_k)`` for every row v_k of v, with the checks :meth:`exp` makes."""
@@ -467,7 +539,7 @@ class Manifold(ABC):
             points = [ManifoldPoint(self, ck) for ck in c]
             if q is not None:
                 for y, qk in zip(points, q.tolist()):
-                    y.__dict__["_self_product"] = qk
+                    _keep(y, "_self_product", qk)
             for y in points:
                 self._validate_exp_point(y)
             return points
@@ -477,8 +549,9 @@ class Manifold(ABC):
 
     def log(self, x: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
         """Initial velocity of the minimal geodesic from x to y; inverse of exp."""
-        self._own_point(x)
-        _check_same_manifold(x, y)
+        if x.manifold is not self or y.manifold is not self:
+            self._own_point(x)
+            _check_same_manifold(x, y)
         if _same_coords(x, y):
             return self.zero_vector(x)
         w = _frozen(self._log(x, y))
@@ -486,13 +559,29 @@ class Manifold(ABC):
         return TangentVector(x, w)
 
     def dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        self._own_point(x)
-        _check_same_manifold(x, y)
+        """Riemannian distance between x and y.
+
+        x keeps the last finite distance it measured, with the coordinate
+        array of the point it measured it to.  After the ownership and
+        manifold checks, a call to that same array returns the kept value,
+        the kernel's bits, without running the kernel again: coordinates
+        are read-only, so the same array means the same coordinates.  The
+        memo holds the array, not the point, so it keeps no chain of
+        points alive.
+        """
+        if x.manifold is not self or y.manifold is not self:
+            self._own_point(x)
+            _check_same_manifold(x, y)
+        yc = y.coords
+        memo = x._dist_memo
+        if memo is not None and memo[0] is yc:
+            return memo[1]
         if _same_coords(x, y):
             return 0.0
         d = float(self._dist(x, y))
         if not math.isfinite(d):
             raise GeometryError(f"non-finite distance {d!r}")
+        _keep(x, "_dist_memo", (yc, d))
         return d
 
     def inner(self, u: TangentVector, v: TangentVector) -> float:
@@ -667,13 +756,13 @@ class Euclidean(Manifold):
         self, x: ManifoldPoint, directions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         # squared norms row by row: a batched dot rounds differently from `_inner`'s
-        return directions, np.array([self._inner(x.coords, d, d) for d in directions])
+        return directions, np.array(list(map(np.ndarray.dot, directions, directions)))
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
-        return y.coords - x.coords
+        return _flat_difference(x.coords, y.coords)
 
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
-        return _euclidean_norm(y.coords - x.coords)
+        return _euclidean_norm(_flat_difference(x.coords, y.coords))
 
     def _flat_dist(self, d: np.ndarray) -> float:
         """Distance between two points whose coordinates differ by d."""
@@ -724,7 +813,11 @@ class Hyperboloid(Manifold):
         rounding by sinh of the distance, so the extra cost is the price
         of meaningful tangency defects.
         """
-        a, b = a.tolist(), b.tolist()
+        return Hyperboloid._minkowski_lists(a.tolist(), b.tolist())
+
+    @staticmethod
+    def _minkowski_lists(a: list[float], b: list[float]) -> float:
+        # minkowski of coordinates already read out as Python floats
         try:
             return math.fsum([-a[0] * b[0], *map(operator.mul, a[1:], b[1:])])
         except (OverflowError, ValueError) as exc:  # an overflowing or inf - inf sum
@@ -756,7 +849,7 @@ class Hyperboloid(Manifold):
             p, err = _two_product(a, b)
         p[:, 0] = -p[:, 0]
         err[:, 0] = -err[:, 0]
-        return np.array([_finite_sum(t) for t in np.hstack((p, err)).tolist()])
+        return _finite_row_sums(np.hstack((p, err)).tolist())
 
     def _base_coords(self) -> np.ndarray:
         c = np.zeros(self.dim + 1)
@@ -803,6 +896,17 @@ class Hyperboloid(Manifold):
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         return self.minkowski(u, v)
 
+    def _inner_rows(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[float]:
+        # the products of `minkowski`, one exactly rounded sum per row
+        signed = u.copy()
+        signed[0] = -signed[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = (v * signed).tolist()
+        try:
+            return list(map(math.fsum, rows))
+        except (OverflowError, ValueError):  # the row's own call raises its error
+            return super()._inner_rows(x, u, v)
+
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         # The endpoint is exp of the exact tangential part of v taken at
         # the exact radial normalization of x.  Defects of the stored
@@ -834,16 +938,25 @@ class Hyperboloid(Manifold):
         c = a * xc.astype(ld) + s * v.astype(ld)
         return self._project_point(np.asarray(c, dtype=float))
 
-    def _exp_rows(self, x: ManifoldPoint, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _exp_rows(
+        self, x: ManifoldPoint, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         # _exp and _project_point for all rows at once, plus the exact
         # self-product of each result.  Each Minkowski form is an exactly
         # rounded sum of the same products as the scalar code's, so every
-        # row matches it bit for bit.
+        # row matches it bit for bit.  Below _ROW_KERNEL_MIN rows the array
+        # set-up costs more than the scalar kernel saves, so those loop _exp
+        if len(v) < _ROW_KERNEL_MIN:
+            return super()._exp_rows(x, v)
         ld = np.longdouble
         xc = x.coords
         qx = ld(x.self_product)
-        m = self._minkowski_exact_rows(np.broadcast_to(xc, v.shape), v).astype(ld)
-        n2 = self._minkowski_exact_rows(v, v).astype(ld) - m * m / qx
+        k = len(v)
+        forms = self._minkowski_exact_rows(
+            np.vstack((np.broadcast_to(xc, v.shape), v)), np.vstack((v, v))
+        ).astype(ld)
+        m = forms[:k]
+        n2 = forms[k:] - m * m / qx
         n = np.sqrt(np.maximum(n2, 0.0))
         if np.any(n > _EXP_MAX_NORM):
             raise GeometryError("exp leaves the float range")
@@ -868,11 +981,11 @@ class Hyperboloid(Manifold):
         xc = x.coords
         signed = xc.copy()
         signed[0] = -signed[0]
-        xw = np.array([_finite_sum(r) for r in (directions * signed).tolist()])
+        xw = _finite_row_sums((directions * signed).tolist())
         w = directions + xw[:, None] * xc
         w2 = w * w
         w2[:, 0] = -w2[:, 0]
-        return w, np.array([_finite_sum(r) for r in w2.tolist()])
+        return w, _finite_row_sums(w2.tolist())
 
     def _chord_half(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         # cosh(d) - 1 computed from the chord <y-x, y-x>_L = 2(cosh d - 1),
@@ -881,9 +994,10 @@ class Hyperboloid(Manifold):
         #   cosh d = (e - (qx+qy)/2) / sqrt(qx*qy).
         # Stored coordinates at hyperbolic radius R are off shell by
         # ~eps*cosh(R)^2, which would otherwise bias e by the same
-        # relative amount.
-        diff = y.coords - x.coords
-        e = 0.5 * self.minkowski(diff, diff)  # may be < 0 off shell
+        # relative amount.  The chord is taken on Python floats: the same
+        # IEEE differences as on arrays, without their overhead
+        diff = list(map(operator.sub, y.coords.tolist(), x.coords.tolist()))
+        e = 0.5 * self._minkowski_lists(diff, diff)  # may be < 0 off shell
         qx = x.self_product
         qy = y.self_product
         scale = math.sqrt(qx * qy)
@@ -1101,10 +1215,10 @@ class Product(Manifold):
     def _parts(self, x: ManifoldPoint) -> tuple[ManifoldPoint, ...]:
         # factor points viewing the coordinates of x; x is immutable, so
         # they are built once and kept with it
-        parts = x.__dict__.get("_parts")
+        parts = x._parts
         if parts is None:
             parts = tuple(ManifoldPoint(f, x.coords[s]) for f, s in zip(self.factors, self._slices))
-            x.__dict__["_parts"] = parts
+            _keep(x, "_parts", parts)
         return parts
 
     def join_points(self, parts: Sequence[ManifoldPoint]) -> ManifoldPoint:
@@ -1148,6 +1262,20 @@ class Product(Manifold):
             f._inner(x[s], u[s], v[s]) for f, s in zip(self.factors, self._slices)
         )
 
+    def norm(self, v: TangentVector) -> float:
+        # a Euclidean factor's dot warns where its squares overflow, which
+        # entries below 1e150 cannot do; larger ones take it under
+        # np.errstate, and the base class then rescales
+        if _squares_fit(v.components.tolist()):
+            return super().norm(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return super().norm(v)
+
+    def _inner_rows(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[float]:
+        # each row's builtin sum of its factors' values, as in _inner
+        parts = [f._inner_rows(x[s], u[s], v[:, s]) for f, s in zip(self.factors, self._slices)]
+        return [sum(r) for r in zip(*parts)]
+
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         if self.is_flat:
             return _flat_exp(x.coords, v)
@@ -1173,14 +1301,14 @@ class Product(Manifold):
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         if self.is_flat:
-            return y.coords - x.coords
+            return _flat_difference(x.coords, y.coords)
         return np.concatenate(
             [f._log(p, q) for f, p, q in zip(self.factors, self._parts(x), self._parts(y))]
         )
 
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         if self.is_flat:
-            return self._flat_dist(y.coords - x.coords)
+            return self._flat_dist(_flat_difference(x.coords, y.coords))
         return _root_sum_squares(
             [f._dist(p, q) for f, p, q in zip(self.factors, self._parts(x), self._parts(y))]
         )

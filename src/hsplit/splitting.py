@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import equilibrium as eq
 from . import fields
 from .manifold import (
@@ -38,7 +40,6 @@ from .manifold import (
     Manifold,
     ManifoldPoint,
     dist,
-    exp_map,
     geodesic_point,
     norm,
 )
@@ -208,6 +209,8 @@ class StoppingRule:
 MEMBERSHIP_TOL = 1e-6
 #: geodesic radii of the tangent-frame probes of the equilibrium residual
 _PROBE_RADII = (0.5, 1.0)
+#: signed radii of the probes along each frame vector, in probe order
+_PROBE_STEPS = np.array([s * radius for radius in _PROBE_RADII for s in (1.0, -1.0)])
 
 
 @dataclass(frozen=True)
@@ -256,18 +259,19 @@ def membership_residuals(
     Equilibrium residual: worst negativity of ``F(point, y)`` over
     deterministic probes (tangent frame directions at the given radii
     plus any registered anchors).  Both are zero at a common solution.
+    The frame probes ``exp(point, +-radius b)``, for every frame vector b
+    and radius in turn, come from one batched exp, each bit for bit the
+    single call.
     """
     res_a = 0.0
     if field is not None:
         res_a = norm(field.selection(point))
     res_f = 0.0
     if bifunction is not None:
-        probes = [
-            exp_map(point, float(s) * radius * b)
-            for b in point.manifold.tangent_basis(point)
-            for radius in _PROBE_RADII
-            for s in (1.0, -1.0)
-        ]
+        man = point.manifold
+        frame = man._frame(point)
+        steps = frame[:, None, :] * _PROBE_STEPS[:, None]
+        probes = man._exp_points(point, steps.reshape(-1, frame.shape[1]))
         probes.extend(bifunction.anchors)
         probes.extend(bifunction.known_equilibria)
         res_f = max(0.0, -eq.equilibrium_residual(bifunction, point, probes))

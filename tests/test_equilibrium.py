@@ -9,13 +9,16 @@ shipped bifunction zoo.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hsplit import apps, fields
 from hsplit.equilibrium import (
+    _FD_STEP,
     Bifunction,
     EquilibriumError,
     check_assumptions,
     convex_difference,
+    equilibrium_residual,
     field_induced,
     _certificate_probes,
     generic_bifunction,
@@ -33,9 +36,12 @@ from hsplit.manifold import (
     Euclidean,
     GeometryError,
     Hyperboloid,
+    Product,
     dist,
     exp_map,
     geodesic_point,
+    inner,
+    log_map,
 )
 
 
@@ -164,6 +170,38 @@ def test_resolvent_generic_sampled_matches_prox_oracle(rng):
             assert calls["n"] == solve_calls + 64 + len(bf.anchors)
 
 
+def test_raw_resolvent_runs_the_distance_kernel_once_per_pair(rng, monkeypatch):
+    # the oracle measures d(z, a) at every call; the memo on z runs the
+    # kernel once per distinct (point, coordinate array) pair
+    h = Hyperboloid(2)
+    a = h.random_point(rng, 1.0)
+    kernel = Hyperboloid._dist
+    runs, pairs, alive = [0], set(), []
+
+    def counting(self, x, y):
+        runs[0] += 1
+        pairs.add((id(x), id(y.coords)))
+        alive.append((x, y.coords))  # keep the ids from being reused
+        return kernel(self, x, y)
+
+    monkeypatch.setattr(Hyperboloid, "_dist", counting)
+    bf = generic_bifunction(h, _half_sq_dist_oracle(a), anchors=(a,))
+    calls = {"n": 0}
+    evaluate = bf.eval
+
+    def counting_eval(x, y):
+        calls["n"] += 1
+        return evaluate(x, y)
+
+    bf.eval = counting_eval
+    resolvent_T(bf, ResolventConfig(lam=1.0, inner_tol=1e-8, inner_max_iter=200),
+                h.random_point(rng, 2.0))
+    assert calls["n"] > 64
+    assert runs[0] == len(pairs)
+    # each oracle call measures d(y, a) afresh, and d(z, a) once per z
+    assert runs[0] < 2 * calls["n"]
+
+
 @pytest.mark.parametrize("m", [Euclidean(2), Hyperboloid(2), SPD(2)], ids=lambda m: m.tag)
 def test_certificate_probes_match_sequential_draws(m, rng):
     # the cached block of normals and the batched exp reproduce the
@@ -171,13 +209,87 @@ def test_certificate_probes_match_sequential_draws(m, rng):
     z = m.random_point(rng, 1.5)
     for seed in (0, 7):
         bf = generic_bifunction(m, lambda x, y: 0.0, anchors=(m.base_point(),))
-        probes, sampled = _certificate_probes(bf, z, seed)
-        assert len(probes) == 1 and len(sampled) == 64
+        probes, (rows, points) = _certificate_probes(bf, z, seed)
+        assert len(probes) == 1 and rows.shape == (64, m.ambient_dim) and len(points) == 64
+        assert not rows.flags.writeable
         sequential = np.random.default_rng(seed)
-        for v, y in sampled:
+        for v, y in zip(rows, points):
             u = m.random_tangent(sequential, z, scale=0.1)
-            assert np.array_equal(v.components, u.components)
+            assert np.array_equal(v, u.components)
             assert np.array_equal(y.coords, exp_map(z, u).coords)
+
+
+def _half_sq_dist_oracle(anchor, seen=None):
+    def oracle(x, y):
+        if seen is not None:
+            seen.append(y.coords.tolist())
+        return 0.5 * dist(y, anchor) ** 2 - 0.5 * dist(x, anchor) ** 2
+
+    return oracle
+
+
+def _point_at(m, rng, radius):
+    base = m.base_point()
+    try:
+        return m.exp(base, m.random_tangent(rng, base, radius))
+    except GeometryError:  # beyond the float range of the chart
+        assume(False)
+
+
+ROW_MANIFOLDS = (Euclidean(2), Hyperboloid(2), Euclidean(3), Hyperboloid(3))
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+radii = st.floats(min_value=0.0, max_value=8.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(ROW_MANIFOLDS), seeds, radii, radii, radii,
+       st.floats(min_value=0.05, max_value=20.0))
+def test_certificate_margin_matches_per_probe_loop_property(m, seed, ra, rz, rx, r):
+    # the row certificate equals the per-probe loop it replaces, bit for
+    # bit: sequential draws, exp_map, and inner(log_z x, v) per probe
+    rng = np.random.default_rng(seed)
+    a, z, x = _point_at(m, rng, ra), _point_at(m, rng, rz), _point_at(m, rng, rx)
+    bf = generic_bifunction(m, _half_sq_dist_oracle(a), anchors=(a,))
+    cert_seed = seed % 1000
+    probes, sampled = _certificate_probes(bf, z, cert_seed)
+    margin = equilibrium_residual(bf, z, probes, x=x, r=r, sampled=sampled)
+
+    zr, xr, ar = m.point(z.coords), m.point(x.coords), m.point(a.coords)
+    log_zx = log_map(zr, xr)
+    expected = bf.eval(zr, ar) - inner(log_zx, log_map(zr, ar)) / r
+    sequential = np.random.default_rng(cert_seed)
+    for _ in range(64):
+        v = m.random_tangent(sequential, zr, 0.1)
+        val = bf.eval(zr, exp_map(zr, v)) - inner(log_zx, v) / r
+        expected = min(expected, val)
+    assert margin == expected
+    # without x the margin is the plain minimum over the same probes
+    plain = equilibrium_residual(bf, z, probes, sampled=sampled)
+    assert plain == min(bf.eval(z, y) for y in [*probes, *sampled[1]])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(ROW_MANIFOLDS + (SPD(2), Product((Euclidean(1), Hyperboloid(2))))),
+       seeds, radii, radii)
+def test_diagonal_gradient_matches_scalar_exp_reference_property(m, seed, ra, rz):
+    # the batched stencil is the per-vector loop of exp_map calls, bit for
+    # bit, with the oracle called on the same points in the same order
+    rng = np.random.default_rng(seed)
+    a, z = _point_at(m, rng, ra), _point_at(m, rng, rz)
+    seen = []
+    bf = generic_bifunction(m, _half_sq_dist_oracle(a, seen), anchors=(a,))
+    (got,) = bf.resolvent_field.evaluate(z)
+    batched, seen[:] = list(seen), []
+
+    zr = m.point(z.coords)
+    grad = np.zeros(m.ambient_dim)
+    for b in m.tangent_basis(zr):
+        fwd = bf.eval(zr, exp_map(zr, _FD_STEP * b))
+        bwd = bf.eval(zr, exp_map(zr, -_FD_STEP * b))
+        grad += ((fwd - bwd) / (2.0 * _FD_STEP)) * b.components
+    expected = m.tangent(zr, grad, project=True)
+    assert got.components.tolist() == expected.components.tolist()
+    assert batched == seen and len(seen) == 2 * m.manifold_dim
 
 
 def test_resolvent_dispatches_on_gradient_field():

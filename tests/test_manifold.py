@@ -227,8 +227,10 @@ def test_exp_hyperboloid_beyond_the_float_range_raises_without_warnings(radius):
             h.exp(base, h.tangent(base, [0.0, radius, 0.0]))
         with pytest.raises(GeometryError, match="exp leaves the float range: tangent norm"):
             h.exp_sphere(base, rows, radius)
-        with pytest.raises(GeometryError, match="exp leaves the float range"):
-            h._exp_rows(base, rows)
+        # two rows loop the scalar kernel, eight take the array kernel
+        for batch in (rows, np.repeat(rows, 4, axis=0)):
+            with pytest.raises(GeometryError, match="exp leaves the float range"):
+                h._exp_rows(base, batch)
 
 
 def test_exp_sphere_matches_random_tangent_then_exp(manifold, rng):
@@ -280,11 +282,14 @@ def test_log_norm_equals_distance(manifold, rng):
 
 
 def test_log_overflowing_result_rejected():
-    # finite points whose difference overflows
+    # finite points whose difference overflows, on the line and on a flat
+    # product; no numpy warning first
     line = Euclidean(1)
-    with np.errstate(over="ignore"):
-        with pytest.raises(GeometryError, match="from log"):
-            line.log(line.point([-1e308]), line.point([1e308]))
+    with pytest.raises(GeometryError, match="from log"):
+        line.log(line.point([-1e308]), line.point([1e308]))
+    lines = Product((line, line))
+    with pytest.raises(GeometryError, match="from log"):
+        lines.log(lines.point([0.0, -1e308]), lines.point([0.0, 1e308]))
 
 
 def test_log_manifold_mismatch_rejected():
@@ -312,9 +317,11 @@ def test_dist_hyperboloid_unit():
 
 def test_dist_overflowing_result_rejected():
     line = Euclidean(1)
-    with np.errstate(over="ignore"):
-        with pytest.raises(GeometryError, match="non-finite distance"):
-            line.dist(line.point([-1e308]), line.point([1e308]))
+    with pytest.raises(GeometryError, match="non-finite distance"):
+        line.dist(line.point([-1e308]), line.point([1e308]))
+    lines = Product((line, line))
+    with pytest.raises(GeometryError, match="non-finite distance"):
+        lines.dist(lines.point([0.0, -1e308]), lines.point([0.0, 1e308]))
 
 
 @pytest.mark.parametrize("big", [1e155, 1e200])
@@ -333,10 +340,8 @@ def test_flat_dist_and_norm_past_overflowing_squares(big):
             (norm(line.tangent(o1, [big])), (big,)),
             (norm(plane.tangent(o2, [-big / 3, big])), (-big / 3, big)),
             (lines.dist(oo, lines.point([big, -big / 3])), (big, -big / 3)),
+            (norm(lines.tangent(oo, [big, -big / 3])), (big, -big / 3)),
         ]
-    # a product's norm and the Minkowski norm still warn over overflowing squares
-    with np.errstate(over="ignore"):
-        cases.append((norm(lines.tangent(oo, [big, -big / 3])), (big, -big / 3)))
         # both squares of a tangent off the hyperboloid's apex overflow; its
         # norm cancels -sinh^2 + cosh^2, which costs a few ulps
         curved = norm(hyp.tangent(h, [big * math.sinh(1.0), big * math.cosh(1.0)]))
@@ -356,6 +361,66 @@ def test_dist_spd_against_logm_oracle(rng):
         a, b = random_pair(m, rng, 2.0)
         oracle = spd_distance_oracle(a.coords.reshape(2, 2), b.coords.reshape(2, 2))
         assert abs(dist(a, b) - oracle) < 1e-9
+
+
+MEMO_MANIFOLDS = (
+    Euclidean(3), Hyperboloid(2), SPD(2), Product((Euclidean(1), Euclidean(2))),
+    Product((Euclidean(1), Hyperboloid(2))),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(MEMO_MANIFOLDS), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=0.0, max_value=8.0), st.floats(min_value=0.0, max_value=8.0))
+def test_repeated_dist_matches_fresh_kernel_property(m, seed, rx, ry):
+    # a repeated distance is the memo's; it equals the kernel run afresh on
+    # new points of the same coordinates, bit for bit, in either order
+    rng = np.random.default_rng(seed)
+    x, y = _point_at(m, rng, rx), _point_at(m, rng, ry)
+    first = m.dist(x, y)
+    assert x._dist_memo is None or x._dist_memo[0] is y.coords
+    again = [m.dist(x, y) for _ in range(3)]
+    fx, fy = m.point(x.coords), m.point(y.coords)
+    fresh = 0.0 if _same_coords(fx, fy) else float(m._dist(fx, fy))
+    assert [first, *again] == [fresh] * 4
+    assert m.dist(fx, fy) == fresh
+    # a second point moves the memo on; the first is measured afresh
+    z = _point_at(m, rng, 1.0)
+    assert m.dist(x, z) == m.dist(m.point(x.coords), z)
+    assert m.dist(x, y) == fresh
+
+
+def test_dist_memo_hit_keeps_the_manifold_checks(rng):
+    # after a hit, a point of another manifold is refused, even one that
+    # shares the memo's very coordinate array
+    h, e3 = Hyperboloid(2), Euclidean(3)
+    x, y = h.random_point(rng, 1.0), h.random_point(rng, 1.0)
+    d = h.dist(x, y)
+    assert h.dist(x, y) == d
+    impostor = ManifoldPoint(e3, y.coords)
+    with pytest.raises(GeometryError, match="manifold mismatch"):
+        h.dist(x, impostor)
+    with pytest.raises(GeometryError, match="passed to"):
+        e3.dist(x, y)
+    with pytest.raises(GeometryError):
+        h.dist(impostor, y)
+    assert h.dist(x, y) == d
+
+
+def test_dist_memo_holds_an_array_not_a_point(rng):
+    # the memo keeps the coordinate array alone, so it chains no points
+    import gc
+    import weakref
+    m = Hyperboloid(2)
+    x = m.random_point(rng, 1.0)
+    y = m.random_point(rng, 1.0)
+    m.dist(x, y)
+    ref = weakref.ref(y)
+    coords = y.coords
+    del y
+    gc.collect()
+    assert ref() is None
+    assert x._dist_memo[0] is coords
 
 
 def test_dist_symmetry_and_triangle(manifold, rng):
@@ -787,6 +852,31 @@ def test_minkowski_forms_match_array_formulas_property(pair):
             Hyperboloid.minkowski_exact(a, b)
     else:
         assert Hyperboloid.minkowski_exact(a, b) == expected
+        # the row forms: every row's value is the scalar form's, bit for bit
+        rows = Hyperboloid._minkowski_exact_rows(np.vstack((a, b, a)), np.vstack((b, b, a)))
+        assert rows.tolist() == [expected, *(Hyperboloid.minkowski_exact(v, v) for v in (b, a))]
+    h = Hyperboloid(len(a) - 1)
+    assert h._inner_rows(a, a, np.vstack((b, a))) == [form, Hyperboloid.minkowski(a, a)]
+
+
+def test_minkowski_row_forms_overflow_raises_without_warnings():
+    # a row whose products overflow: the row forms raise what the scalar forms raise
+    # (inf - inf raises inside fsum; a lone inf term sums to inf)
+    ok = np.array([2.0, 1.0, 1.0])
+    big = np.array([1e200, 1e200, 0.0])
+    h = Hyperboloid(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((big, big), (big, np.array([0.0, 1e200, 1.0]))):
+            with pytest.raises(GeometryError, match="Minkowski form overflows") as scalar:
+                Hyperboloid.minkowski_exact(a, b)
+            with pytest.raises(GeometryError, match=str(scalar.value)):
+                Hyperboloid._minkowski_exact_rows(np.vstack((ok, a)), np.vstack((ok, b)))
+        with pytest.raises(GeometryError, match="Minkowski form overflows"):
+            h._inner_rows(ok, big, np.vstack((ok, big)))
+        # an infinite but unambiguous sum is left for the caller's finiteness check
+        assert h._inner_rows(ok, big, np.vstack((ok, np.array([0.0, 1e200, 0.0])))) == [
+            Hyperboloid.minkowski(big, ok), math.inf]
 
 
 EQUAL_TEST_MANIFOLDS = (
@@ -909,12 +999,22 @@ def test_random_points_match_random_point_property(m, seed, n, spread):
     _assert_cached_self_products(m, points)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from(BATCH_MANIFOLDS), seeds, radii, st.floats(min_value=1e-3, max_value=2.0))
-def test_exp_sphere_matches_exp_property(m, seed, rx, radius):
-    # each row is random_tangent from a generator drawing that row, then exp
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(BATCH_MANIFOLDS), seeds, radii, st.floats(min_value=1e-3, max_value=2.0),
+       st.integers(min_value=1, max_value=8))
+def test_exp_sphere_matches_exp_property(m, seed, rx, radius, rows):
+    # each row is random_tangent from a generator drawing that row, then
+    # exp; the row counts fall on both sides of the Hyperboloid's switch
+    # from its scalar kernel to its array kernel
     x = _point_at(m, np.random.default_rng(seed), rx)
-    directions = np.random.default_rng(seed + 1).standard_normal((8, m.ambient_dim))
+    directions = np.random.default_rng(seed + 1).standard_normal((rows, m.ambient_dim))
+    if not np.all(m._tangent_rows(x, directions)[1] > 1e-20):
+        # near the chart edge a direction can lose its whole tangential
+        # part; random_tangent would draw again, so no sequential draw
+        # matches the row, and the batch refuses it
+        with pytest.raises(GeometryError, match="edge of the chart"):
+            m.exp_sphere(x, directions, radius)
+        return
     sequential = np.random.default_rng(seed + 1)
     _, expected = _outcome(
         lambda: [exp_map(x, m.random_tangent(sequential, x, radius)) for _ in directions]

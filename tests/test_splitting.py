@@ -15,11 +15,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hsplit import apps, equilibrium
 from hsplit.equilibrium import convex_difference, field_induced, generic_bifunction
 from hsplit.fields import DistanceGradientField, LinearField, VectorField, resolvent_residual
-from hsplit.manifold import SPD, Euclidean, Hyperboloid, TangentVector, dist, log_map
+from hsplit.manifold import (
+    SPD,
+    Euclidean,
+    GeometryError,
+    Hyperboloid,
+    Product,
+    TangentVector,
+    dist,
+    exp_map,
+    log_map,
+)
 from hsplit.splitting import (
     DEFAULT_SCHEDULE,
     ProblemInstance,
@@ -535,6 +546,46 @@ def test_membership_probes_evaluate_each_point_once(make, m, rng):
     bf.eval = counting
     membership_residuals(None, bf, m.random_point(rng, 1.0))
     assert calls["n"] == 4 * m.manifold_dim + len(bf.known_equilibria)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((Euclidean(2), Hyperboloid(2), Hyperboloid(3), SPD(2),
+                     Product((Euclidean(1), Hyperboloid(2))))),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=8.0),
+    st.floats(min_value=0.0, max_value=8.0),
+)
+def test_membership_probes_match_scalar_exp_reference_property(m, seed, ra, rp):
+    # the batched frame probes are the exp_map loop they replace, bit for
+    # bit, evaluated in the same order, and the residual is the same
+    rng = np.random.default_rng(seed)
+    base = m.base_point()
+    try:
+        a = m.exp(base, m.random_tangent(rng, base, ra))
+        p = m.exp(base, m.random_tangent(rng, base, rp))
+    except GeometryError:
+        assume(False)
+    seen = []
+
+    def oracle(x, y):
+        seen.append(y.coords.tolist())
+        return 0.5 * dist(y, a) ** 2 - 0.5 * dist(x, a) ** 2
+
+    bf = generic_bifunction(m, oracle, anchors=(a,))
+    _, res_f = membership_residuals(None, bf, p)
+    batched, seen[:] = list(seen), []
+
+    probes = [
+        exp_map(p, float(s) * radius * b)
+        for b in m.tangent_basis(p)
+        for radius in (0.5, 1.0)
+        for s in (1.0, -1.0)
+    ]
+    probes.append(a)
+    expected = max(0.0, -min(bf.eval(p, y) for y in probes))
+    assert res_f == expected
+    assert batched == seen and len(seen) == 4 * m.manifold_dim + 1
 
 
 # -- traces ---------------------------------------------------------------------------
