@@ -756,7 +756,7 @@ class Euclidean(Manifold):
         self, x: ManifoldPoint, directions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         # squared norms row by row: a batched dot rounds differently from `_inner`'s
-        return directions, np.array(list(map(np.ndarray.dot, directions, directions)))
+        return directions, np.array([self._inner(x.coords, d, d) for d in directions])
 
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         return _flat_difference(x.coords, y.coords)
@@ -1270,11 +1270,6 @@ class Product(Manifold):
             return super().norm(v)
         with np.errstate(over="ignore", invalid="ignore"):
             return super().norm(v)
-
-    def _inner_rows(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[float]:
-        # each row's builtin sum of its factors' values, as in _inner
-        parts = [f._inner_rows(x[s], u[s], v[:, s]) for f, s in zip(self.factors, self._slices)]
-        return [sum(r) for r in zip(*parts)]
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         if self.is_flat:
