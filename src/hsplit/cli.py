@@ -48,6 +48,11 @@ _BENCH_KEYS = {
 }
 
 
+#: ``hsplit bench`` grid for an axis left unset; why it is not the run
+#: default is in the bench description of :func:`build_parser`
+_BENCH_GRID_DEFAULTS = {"alpha": "0.5", "beta": "0.5", "lambda": "1.0", "r": "1.0"}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -83,18 +88,16 @@ def _merged(args: argparse.Namespace, allowed: set[str]) -> dict[str, str]:
     return values
 
 
-def _float(values: dict[str, str], key: str, default: float | None) -> float | None:
-    if key not in values:
-        return default
+def _float(values: dict[str, str], key: str) -> float:
     try:
         return float(values[key])
     except ValueError as exc:
         raise ConfigError(f"{key} must be a number, got {values[key]!r}") from exc
 
 
-def _int(values: dict[str, str], key: str, default: int) -> int:
+def _int(values: dict[str, str], key: str) -> int:
     try:
-        return int(values.get(key, default))
+        return int(values[key])
     except ValueError as exc:
         raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from exc
 
@@ -117,19 +120,19 @@ def _out_dir(args: argparse.Namespace, values: dict[str, str]) -> Path:
     return Path(values.get("out", "runs"))
 
 
-def _schedule_and_stop(values: dict[str, str]):
-    schedule = splitting.StepSchedule.constant(
-        alpha=_float(values, "alpha", 0.5),
-        beta=_float(values, "beta", 0.5),
-        lam=_float(values, "lambda", 1.0),
-        r=_float(values, "r", 1.0),
-    )
-    stop = splitting.StoppingRule(
-        max_iter=_int(values, "max_iter", 10_000),
-        step_tol=_float(values, "tol", 1e-9),
-        ref_tol=_float(values, "ref_tol", None),
-    )
-    return schedule, stop
+#: config key -> keyword and parser of the values that ``run`` hands on
+#: only when set, so that ``StepSchedule.constant`` and ``StoppingRule``
+#: supply every default
+_SCHEDULE_KEYS = {
+    "alpha": ("alpha", _float), "beta": ("beta", _float),
+    "lambda": ("lam", _float), "r": ("r", _float),
+}
+_STOP_KEYS = {"max_iter": ("max_iter", _int), "tol": ("step_tol", _float), "ref_tol": ("ref_tol", _float)}
+
+
+def _set_kwargs(values: dict[str, str], keys: dict) -> dict:
+    """Keyword arguments, parsed, for those of ``keys`` that ``values`` sets."""
+    return {kw: parse(values, key) for key, (kw, parse) in keys.items() if key in values}
 
 
 def _exit_for(trace: splitting.IterationTrace) -> int:
@@ -156,12 +159,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"unknown problem: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_PROBLEM
     try:
-        schedule, stop = _schedule_and_stop(values)
+        schedule = splitting.StepSchedule.constant(**_set_kwargs(values, _SCHEDULE_KEYS))
+        stop = splitting.StoppingRule(**_set_kwargs(values, _STOP_KEYS))
         timing = _bool(values, "timing")
         trace = splitting.run(
             problem, schedule, stop,
             algorithm=values.get("algorithm", "auto"),
-            seed=_int(values, "seed", 0),
+            seed=_int(values, "seed") if "seed" in values else 0,
         )
     except ValueError as exc:  # ConfigError, ScheduleError and refused settings
         print(f"config error: {exc}", file=sys.stderr)
@@ -189,8 +193,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAIL
 
 
-def _float_grid(values: dict[str, str], key: str, default: str) -> list[float]:
-    raw = values.get(key, default)
+def _float_grid(values: dict[str, str], key: str) -> list[float]:
+    raw = values.get(key, _BENCH_GRID_DEFAULTS[key])
     try:
         return [float(tok) for tok in str(raw).split(",") if tok.strip()]
     except ValueError as exc:
@@ -227,16 +231,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         problems = [p.strip() for p in values.get("problems", "").split(",") if p.strip()]
         if not problems:
             raise ConfigError("no problems specified")
-        alphas = _float_grid(values, "alpha", "0.5")
-        betas = _float_grid(values, "beta", "0.5")
-        lams = _float_grid(values, "lambda", "1.0")
-        rs = _float_grid(values, "r", "1.0")
-        stop = splitting.StoppingRule(
-            max_iter=_int(values, "max_iter", 10_000),
-            step_tol=_float(values, "tol", 1e-9),
-        )
-        seed = _int(values, "seed", 0)
-        _int(values, "jobs", 1)  # accepted for old command lines; cells run in order
+        alphas, betas, lams, rs = (_float_grid(values, key) for key in _BENCH_GRID_DEFAULTS)
+        stop = splitting.StoppingRule(**_set_kwargs(values, _STOP_KEYS))
+        seed = _int(values, "seed") if "seed" in values else 0
+        if "jobs" in values:  # accepted for old command lines; cells run in order
+            _int(values, "jobs")
     except ValueError as exc:  # ConfigError and a refused stopping rule
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -305,7 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "field; the monotonicity property then fails with a witness")
     ver.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser("bench", help="sweep schedule grids over problems")
+    bench = sub.add_parser(
+        "bench", help="sweep schedule grids over problems",
+        description="An axis left unset takes one value: alpha {alpha}, beta {beta}, "
+                    "lambda {lambda}, r {r}.  These are not the run defaults: the "
+                    "benchmark's sweep sets only --alpha and --lambda, so its beta "
+                    "and r are part of its measured work.".format(**_BENCH_GRID_DEFAULTS),
+    )
     bench.add_argument("--config", help="flat key = value config file")
     bench.add_argument("--problems", help="comma-separated problem ids")
     bench.add_argument("--alpha", help="comma-separated grid")

@@ -338,21 +338,34 @@ def _newton_resolvent_flat(
     converges quadratically, which matters for skew monotone fields
     (e.g. saddle fields) whose forward iterations stall at large lam.
     Returns None to fall back when a Jacobian is singular or no descent
-    step exists (kinks of multivalued fields).
+    step exists (kinks of multivalued fields).  A trial point or defect
+    past the float range is a rejected trial; a start whose defect is
+    past it stalls, since no step can be formed from that defect.
     """
     man = field.manifold
     dim = man.ambient_dim
+    x_list = x.coords.tolist()
+    lam = cfg.lam
 
     def defect(coords: np.ndarray) -> np.ndarray:
         # what man.point checks of a flat point, without its copy: every
         # coords array here is fresh and never written again
         _require_finite(coords, "point coordinates")
         a = field.selection(ManifoldPoint(man, _frozen(coords)))
-        return coords - x.coords + cfg.lam * a.components
+        # z - x + lam*a on Python floats: the IEEE operations of the array
+        # expression, but a value past the float range becomes inf, which
+        # the norm then reports, without a numpy overflow warning
+        return np.array(
+            [c - xc + lam * ac for c, xc, ac in zip(coords.tolist(), x_list, a.components.tolist())]
+        )
 
     z = np.array(z0.coords, dtype=float)
     fz = defect(z)
     rn = _euclidean_norm(fz)
+    if not rn < math.inf:
+        raise ResolventNonconvergence(
+            f"resolvent of {field.name} stalled", last_residual=rn, iterations=0
+        )
     for k in range(cfg.inner_max_iter):
         if rn <= cfg.inner_tol:
             return man.point(z), rn, k
@@ -368,9 +381,13 @@ def _newton_resolvent_flat(
             return None
         t = 1.0
         while t > 1e-12:
-            z_new = z + t * step
-            f_new = defect(z_new)
-            rn_new = _euclidean_norm(f_new)
+            # z + t*step on Python floats, as in defect
+            z_new = np.array([zi + t * si for zi, si in zip(z.tolist(), step.tolist())])
+            try:
+                f_new = defect(z_new)
+                rn_new = _euclidean_norm(f_new)
+            except GeometryError:
+                rn_new = math.inf
             if rn_new < rn:
                 break
             t *= 0.5

@@ -235,8 +235,10 @@ class ManifoldPoint:
 
     Besides its two fields a point keeps values computed from its
     coordinates: the Hyperboloid self-product, a product point's factor
-    points, and the distance memo of :meth:`Manifold.dist`.  The class
-    attributes below are their "not yet computed" values.
+    points, the distance memo of :meth:`Manifold.dist`, and the
+    solution-set membership memo of a problem's reference solution
+    (:mod:`hsplit.splitting`).  The class attributes below are their
+    "not yet computed" values.
     """
 
     manifold: "Manifold"
@@ -245,6 +247,7 @@ class ManifoldPoint:
     _self_product = None
     _parts = None
     _dist_memo = None
+    _membership_memo = None
 
     @property
     def self_product(self) -> float:

@@ -398,8 +398,10 @@ def splitting_suite(seed: int) -> list[PropertyResult]:
     out: list[PropertyResult] = []
 
     prob = apps.get_problem("euclid_quad")
-    sched = splitting.DEFAULT_SCHEDULE
-    step = splitting.algorithm1_step(prob, sched, 0, prob.x0, inner_tol=1e-14)
+    # the hand-computed values and the scalar recurrence below assume
+    # relaxation 0.5 and unit resolvent steps
+    half_unit = splitting.StepSchedule.constant(0.5, 0.5, 1.0, 1.0)
+    step = splitting.algorithm1_step(prob, half_unit, 0, prob.x0, inner_tol=1e-14)
     hand = {
         "u0": abs(step.u.coords[0] - 4.0),
         "y0": abs(step.y.coords[0] - 6.0),
@@ -452,7 +454,7 @@ def splitting_suite(seed: int) -> list[PropertyResult]:
     prob = apps.get_problem("euclid_quad")
     x_scalar = prob.x0.coords[0]
     worst_ppa = 0.0
-    trace = splitting.run(prob, stop=splitting.StoppingRule(max_iter=50, step_tol=0.0),
+    trace = splitting.run(prob, half_unit, splitting.StoppingRule(max_iter=50, step_tol=0.0),
                           algorithm="inclusion")
     for rec in trace.records:
         x_scalar = x_scalar + 0.5 * (x_scalar / 2.0 - x_scalar)

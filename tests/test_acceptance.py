@@ -281,9 +281,11 @@ def test_criterion_4_theorem_end_to_end():
 
 
 def test_criterion_5_corollary_coherence():
-    # relaxed proximal point against a standalone scalar oracle
+    # relaxed proximal point against a standalone scalar oracle, at the
+    # relaxation 0.5 and step 1 the oracle's recurrence is written for
     prob = apps.get_problem("euclid_quad")
-    trace = run(prob, stop=StoppingRule(max_iter=50, step_tol=0.0), algorithm="inclusion")
+    trace = run(prob, StepSchedule.constant(0.5, 0.5, 1.0, 1.0),
+                StoppingRule(max_iter=50, step_tol=0.0), algorithm="inclusion")
     x = 8.0
     worst_ppa = 0.0
     for rec in trace.records:

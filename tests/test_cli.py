@@ -7,7 +7,9 @@ import threading
 
 import pytest
 
+from hsplit import apps
 from hsplit.cli import main
+from hsplit.splitting import DEFAULT_SCHEDULE, StepSchedule, fejer_diagnostics, run
 
 
 def run_cli(*argv):
@@ -54,6 +56,33 @@ def test_run_invalid_schedule_exit_64(tmp_path):
 
 def test_run_missing_problem_exit_64(tmp_path):
     assert run_cli("run", "--out", str(tmp_path)) == 64
+
+
+@pytest.mark.parametrize("pid", apps.problem_ids())
+def test_run_default_schedule_ends_within_15_iterations(tmp_path, pid):
+    # with no schedule flags a run takes DEFAULT_SCHEDULE: the CLI trace is
+    # the library run's, bit for bit, and its Fejer replay passes
+    assert run_cli("run", "--problem", pid, "--out", str(tmp_path)) == 0
+    meta = json.loads((tmp_path / f"{pid}_meta.json").read_text())
+    assert meta["schedule"] == DEFAULT_SCHEDULE.description
+    assert meta["termination"] == "step_tol"
+    assert meta["iterations"] <= 15
+    trace = run(apps.get_problem(pid))
+    assert trace.to_csv() == (tmp_path / f"{pid}_trace.csv").read_text()
+    assert fejer_diagnostics(trace).passed
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs",
+    [
+        (("--alpha", "0.5"), {"alpha": 0.5}),
+        (("--lambda", "2", "--r", "3"), {"lam": 2.0, "r": 3.0}),
+    ],
+)
+def test_run_unset_schedule_values_take_the_defaults(tmp_path, flags, kwargs):
+    assert run_cli("run", "--problem", "euclid_quad", *flags, "--out", str(tmp_path)) == 0
+    meta = json.loads((tmp_path / "euclid_quad_meta.json").read_text())
+    assert meta["schedule"] == StepSchedule.constant(**kwargs).description
 
 
 @pytest.mark.parametrize(
@@ -162,12 +191,26 @@ def test_verify_reports_deterministic():
 
 
 def test_bench_single_cell_matches_run(tmp_path):
-    run_cli("run", "--problem", "euclid_quad", "--out", str(tmp_path / "single"))
+    # the run takes the schedule of bench's one default cell
+    run_cli("run", "--problem", "euclid_quad", "--alpha", "0.5", "--beta", "0.5",
+            "--lambda", "1", "--r", "1", "--out", str(tmp_path / "single"))
     code = run_cli("bench", "--problems", "euclid_quad", "--out", str(tmp_path / "sweep"))
     assert code == 0
     single = (tmp_path / "single" / "euclid_quad_trace.csv").read_text()
     cell = (tmp_path / "sweep" / "euclid_quad__a0.5_b0.5_l1.0_r1.0_trace.csv").read_text()
     assert single == cell
+
+
+def test_bench_unset_beta_and_r_grids_stay_half_and_unit(tmp_path):
+    # bench's own grid defaults, not the run default, fill the unset axes
+    code = run_cli("bench", "--problems", "euclid_quad", "--alpha", "0.9", "--lambda", "10",
+                   "--out", str(tmp_path))
+    assert code == 0
+    lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+    problem, alpha, beta, lam, r, iters, _ = lines[1].split(",")
+    assert (problem, alpha, beta, lam, r) == ("euclid_quad", "0.9", "0.5", "10.0", "1.0")
+    assert iters.isdigit()
 
 
 def test_bench_alpha_grid_with_invalid_cell(tmp_path):

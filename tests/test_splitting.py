@@ -55,12 +55,16 @@ def euclid_quad():
     return apps.get_problem("euclid_quad")
 
 
+#: the schedule the hand-computed values below assume: half relaxation, unit steps
+HALF_UNIT = StepSchedule.constant(0.5, 0.5, 1.0, 1.0)
+
+
 # -- single steps ------------------------------------------------------------------
 
 
 def test_hand_computed_first_step():
     prob = euclid_quad()
-    step = algorithm1_step(prob, DEFAULT_SCHEDULE, 0, prob.x0, inner_tol=1e-14)
+    step = algorithm1_step(prob, HALF_UNIT, 0, prob.x0, inner_tol=1e-14)
     assert abs(step.u.coords[0] - 4.0) < 1e-12
     assert abs(step.y.coords[0] - 6.0) < 1e-12
     assert abs(step.z.coords[0] - 3.0) < 1e-12
@@ -85,7 +89,7 @@ def test_small_alpha_keeps_y_close():
 
 def test_algorithm2_first_step_arithmetic():
     prob = euclid_quad()
-    step = algorithm2_step(prob, DEFAULT_SCHEDULE, 0, prob.x0)
+    step = algorithm2_step(prob, HALF_UNIT, 0, prob.x0)
     assert abs(step.x_next.coords[0] - 6.0) < 1e-12  # 8 + (4-8)/2
 
 
@@ -96,7 +100,7 @@ def test_algorithm3_first_step_arithmetic():
     )
     prob = ProblemInstance(m, m.point([4.0]), bifunction=bifun,
                            reference_solution=m.base_point(), name="quad_only")
-    step = algorithm3_step(prob, DEFAULT_SCHEDULE, 0, prob.x0)
+    step = algorithm3_step(prob, HALF_UNIT, 0, prob.x0)
     assert abs(step.z.coords[0] - 2.0) < 1e-12
     assert abs(step.x_next.coords[0] - 3.0) < 1e-12
 
@@ -352,7 +356,7 @@ def test_run_converges_to_common_zero():
 
 
 def test_run_contraction_pattern():
-    trace = run(euclid_quad(), stop=StoppingRule(max_iter=5, step_tol=0.0))
+    trace = run(euclid_quad(), HALF_UNIT, StoppingRule(max_iter=5, step_tol=0.0))
     for n, rec in enumerate(trace.records):
         assert abs(rec.d_ref - 8.0 * 0.6875**n) < 1e-9
 
@@ -412,12 +416,40 @@ def test_run_oracle_failure_keeps_partial_trace():
     origin = m.base_point()
     bf = generic_bifunction(m, oracle, name="failing", anchors=(origin,))
     prob = ProblemInstance(m, m.point([2.0]), bifunction=bf)
-    trace = run(prob, stop=StoppingRule(max_iter=50, step_tol=1e-8))
+    trace = run(prob, HALF_UNIT, StoppingRule(max_iter=50, step_tol=1e-8))
     assert trace.termination_reason == "resolvent_failure"
     assert "non-finite" in trace.error
     assert 0 < trace.iterations < 50
     assert [rec.n for rec in trace.records] == list(range(trace.iterations))
     assert trace.final_point is trace.records[-1].x_next
+
+
+def test_default_schedule_solves_seeded_generic_instances_within_150_iterations():
+    # twelve raw-oracle instances drawn as the generic_equilibrium workload
+    # draws them for seed 5: anchors within radius 1 of the base point,
+    # starts at stratified radii in [0.5, 3]; each passes the workload's
+    # gate (ends by step_tol, within 100 * step_tol of the anchor, Fejer
+    # replay passes), and all twelve together take at most 150 iterations
+    rng = np.random.default_rng(5)
+    radii = [0.5 + 2.5 * (k + rng.uniform()) / 6 for k in range(6)]
+    iterations = 0
+    for radius in radii:
+        for m in (Euclidean(2), Hyperboloid(2)):
+            anchor = m.random_point(rng, 1.0)
+
+            def half_sq_dist_difference(x, y, anchor=anchor):
+                return 0.5 * dist(y, anchor) ** 2 - 0.5 * dist(x, anchor) ** 2
+
+            bf = generic_bifunction(m, half_sq_dist_difference, anchors=(anchor,))
+            start = exp_map(anchor, m.random_tangent(rng, anchor, radius))
+            prob = ProblemInstance(m, start, field=DistanceGradientField(anchor),
+                                   bifunction=bf, reference_solution=anchor)
+            trace = run(prob, stop=StoppingRule(step_tol=1e-8))
+            assert trace.termination_reason == "step_tol"
+            assert trace.final_reference_distance() <= 1e-6
+            assert fejer_diagnostics(trace).passed
+            iterations += trace.iterations
+    assert iterations <= 150
 
 
 def test_run_geometry_failure_keeps_trace():
@@ -443,12 +475,15 @@ def test_run_geometry_failure_keeps_trace():
     assert run(prob, stop=StoppingRule(max_iter=50)).termination_reason == "step_tol"
 
 
-def test_run_overflowing_exp_keeps_trace():
+@pytest.mark.parametrize("lam", [1.0, 2.0, 10.0, 100.0])
+def test_run_overflowing_exp_keeps_trace(lam):
     # the damped fixed-point step overflows exp: a field 1e6 times too
     # steep on SPD(2), and a field with a singular Newton system at
     # 1.5e308 on the line.  Each overflowing trial is rejected, before
     # numpy warns, and the step halves until the resolvent stalls; each
-    # run ends with the stall and a trace
+    # run ends with the stall and a trace.  For lam >= 2 the line's
+    # resolvent defect at the start is past the float range, and the
+    # resolvent stalls there, again without a numpy warning
     spd = SPD(2)
     a = spd.point(np.diag([2.0, 3.0]).ravel())
     steep = VectorField(spd, lambda x: (1e6 * -log_map(x, a),), name="steep")
@@ -460,7 +495,7 @@ def test_run_overflowing_exp_keeps_trace():
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = run(prob, stop=StoppingRule(max_iter=50))
+            trace = run(prob, StepSchedule.constant(lam=lam), StoppingRule(max_iter=50))
         assert trace.termination_reason == "resolvent_failure"
         assert "stalled" in trace.error
         assert [rec.n for rec in trace.records] == list(range(trace.iterations))
@@ -546,6 +581,39 @@ def test_membership_probes_evaluate_each_point_once(make, m, rng):
     bf.eval = counting
     membership_residuals(None, bf, m.random_point(rng, 1.0))
     assert calls["n"] == 4 * m.manifold_dim + len(bf.known_equilibria)
+
+
+def test_reference_membership_checked_once_per_field_bifunction_and_point():
+    # a problem rebuilt with a new start, and the Fejer replay of its trace,
+    # reuse the reference's check against the same parts; other parts at the
+    # same point are checked again, and one the point fails is still refused
+    m = Hyperboloid(2)
+    anchor = m.base_point()
+    calls = {"n": 0}
+
+    def oracle(x, y):
+        calls["n"] += 1
+        return 0.5 * dist(y, anchor) ** 2 - 0.5 * dist(x, anchor) ** 2
+
+    field = DistanceGradientField(anchor)
+    bf = generic_bifunction(m, oracle, anchors=(anchor,))
+    prob = ProblemInstance(m, anchor, field=field, bifunction=bf, reference_solution=anchor)
+    checked = calls["n"]
+    assert checked == 4 * m.manifold_dim + 1
+    moved = dataclasses.replace(prob, x0=m.exp(anchor, m.tangent_basis(anchor)[0]))
+    assert calls["n"] == checked
+    trace = run(moved, stop=StoppingRule(max_iter=1))
+    calls["n"] = 0
+    assert fejer_diagnostics(trace).passed
+    assert calls["n"] == 0
+    ProblemInstance(m, anchor, field=field,
+                    bifunction=generic_bifunction(m, oracle, anchors=(anchor,)),
+                    reference_solution=anchor)
+    assert calls["n"] == checked
+    other = m.exp(anchor, m.tangent_basis(anchor)[1])
+    with pytest.raises(ValueError, match="fails membership"):
+        ProblemInstance(m, anchor, field=DistanceGradientField(other),
+                        bifunction=bf, reference_solution=anchor)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -671,7 +739,7 @@ def test_fejer_diagnostics_requires_some_reference():
 
 def test_relaxed_proximal_point_matches_scalar_oracle():
     prob = euclid_quad()
-    trace = run(prob, stop=StoppingRule(max_iter=50, step_tol=0.0), algorithm="inclusion")
+    trace = run(prob, HALF_UNIT, StoppingRule(max_iter=50, step_tol=0.0), algorithm="inclusion")
     x = 8.0
     for rec in trace.records:
         x = x + 0.5 * (x / 2.0 - x)  # relaxed proximal point recurrence
