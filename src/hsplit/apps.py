@@ -89,7 +89,9 @@ class ConvexProgram:
 
     ``subgradient`` maps a point to a nonempty tuple of subgradients at
     that point; ``known_minimizers`` lists points where the zero vector
-    is a subgradient.
+    is a subgradient.  ``gradient_field``, when set, is the same
+    subdifferential as a structured field with a closed-form resolvent,
+    which :func:`subdifferential_field` hands on.
     """
 
     manifold: Manifold
@@ -97,6 +99,7 @@ class ConvexProgram:
     subgradient: Callable[[ManifoldPoint], tuple[TangentVector, ...]]
     known_minimizers: tuple[ManifoldPoint, ...] = ()
     name: str = "convex_program"
+    gradient_field: fields.VectorField | None = None
 
 
 def squared_distance_program(
@@ -108,8 +111,10 @@ def squared_distance_program(
 ) -> ConvexProgram:
     """Weighted squared-distance objective ``sum_i w_i d(x, p_i)^2 / 2``.
 
-    Its gradient is ``-sum_i w_i log_x(p_i)``; with a single anchor the
-    anchor itself is the unique minimizer.
+    Its gradient is ``-sum_i w_i log_x(p_i)``.  With a single anchor the
+    anchor itself is the unique minimizer, and ``gradient_field`` is the
+    anchor's :class:`~hsplit.fields.DistanceGradientField`, whose values
+    equal those of ``subgradient`` and whose resolvent is closed-form.
     """
     anchors = tuple(anchors)
     if not anchors:
@@ -130,14 +135,14 @@ def squared_distance_program(
             g = g + float(-wi) * log_map(x, p)
         return (g,)
 
-    minimizers = ()
-    if known_minimizer is not None:
-        minimizers = (known_minimizer,)
-    elif len(anchors) == 1:
-        minimizers = (anchors[0],)
-    return ConvexProgram(
-        man, objective, subgrad, minimizers, name or f"squared_distance[{len(anchors)}]"
-    )
+    name = name or f"squared_distance[{len(anchors)}]"
+    if len(anchors) > 1:
+        minimizers = () if known_minimizer is None else (known_minimizer,)
+        return ConvexProgram(man, objective, subgrad, minimizers, name)
+    # -w log_x p, which subgrad's 0 + (-w) log_x p equals
+    gradient = fields.DistanceGradientField(anchors[0], w[0], name=f"subdiff[{name}]")
+    minimizer = anchors[0] if known_minimizer is None else known_minimizer
+    return ConvexProgram(man, objective, subgrad, (minimizer,), name, gradient)
 
 
 def linear_program(manifold: Euclidean, c) -> ConvexProgram:
@@ -184,19 +189,23 @@ def subdifferential_field(
     Registration spot-checks the subgradient inequality and convexity,
     then monotonicity across random pairs, and refuses (with a witness)
     on any violation.  The zeros of the returned field are exactly the
-    minimizers of the objective.
+    minimizers of the objective.  The field is the program's
+    ``gradient_field`` when it has one, after the same checks, else a
+    generic field of ``subgradient`` for the inner resolvent solver.
     """
     man = prog.manifold
     rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
     if check:
         _validate_program(prog, rng)
-    vf = fields.VectorField(
-        man,
-        prog.subgradient,
-        name=f"subdiff[{prog.name}]",
-        single_valued=False,
-        known_zeros=prog.known_minimizers,
-    )
+    vf = prog.gradient_field
+    if vf is None:
+        vf = fields.VectorField(
+            man,
+            prog.subgradient,
+            name=f"subdiff[{prog.name}]",
+            single_valued=False,
+            known_zeros=prog.known_minimizers,
+        )
     if check:
         points = man.random_points(rng, 2 * _MONOTONE_PAIRS, _CHECK_SPREAD)
         report = fields.check_monotone(vf, list(zip(points[::2], points[1::2])))

@@ -7,17 +7,18 @@ satisfying
 
     log_z(x) = lam * a(z)    for some a(z) in A(z),
 
-the geodesic analogue of ``(I + lam A)^-1``.  Structured fields (linear
-on flat space, gradients of squared distances) are solved in closed
-form.  On a flat chart of at most 32 coordinates every other field goes
-to a damped Newton iteration first; elsewhere, or where Newton finds no
-descent step, a geometric fixed-point iteration runs, whose fixed points
-are exactly the solutions of the resolvent equation.  Its step length
-is the two-point (Barzilai-Borwein) estimate read from the last step
-taken, guarded by monotone backtracking on the residual.  Each residual
-norm is computed once: a field value that is the only one at its point
-needs no minimum-norm choice, and Newton's defect norms are
-``np.linalg.norm``'s arithmetic without its dispatch.
+the geodesic analogue of ``(I + lam A)^-1``.  A field that knows its
+resolvent in closed form (linear on flat space, gradients of squared
+distances) returns it from ``_closed_form``.  On a flat chart of at most
+32 coordinates every other field goes to a damped Newton iteration
+first; elsewhere, or where Newton finds no descent step, a geometric
+fixed-point iteration runs, whose fixed points are exactly the solutions
+of the resolvent equation.  Its step length is the two-point
+(Barzilai-Borwein) estimate read from the last step taken, guarded by
+monotone backtracking on the residual.  Each residual norm is computed
+once: a field value that is the only one at its point needs no
+minimum-norm choice, and Newton's defect norms are ``np.linalg.norm``'s
+arithmetic without its dispatch.
 
 Verification helpers check monotonicity, firm nonexpansiveness, the
 fixed-point inequality satisfied by firmly nonexpansive maps, and
@@ -96,9 +97,10 @@ class ResolventNonconvergence(FieldError):
 class VectorField:
     """A possibly multivalued assignment ``x -> A(x)`` of tangent vectors.
 
-    The type of a field is the one datum that picks its resolvent:
-    :class:`LinearField` and :class:`DistanceGradientField` are solved in
-    closed form, every other field by the generic inner solver.
+    One method picks its resolvent: :meth:`_closed_form` returns the
+    resolvent point where the field knows it in closed form
+    (:class:`LinearField`, :class:`DistanceGradientField`), and None,
+    the default, sends the resolvent to the generic inner solver.
 
     Parameters
     ----------
@@ -151,17 +153,28 @@ class VectorField:
             return values[0]
         return min(values, key=norm)
 
+    def _closed_form(self, lam: float, x: ManifoldPoint) -> ManifoldPoint | None:
+        """The resolvent ``J_lam(x)`` in closed form, or None to solve for it."""
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VectorField({self.name!r}, on {self.manifold.tag})"
 
 
 class LinearField(VectorField):
-    """``A(x) = M x`` on flat space; monotone iff the symmetric part of M is PSD."""
+    """``A(x) = M x`` on flat space; monotone iff the symmetric part of M is PSD.
+
+    Its resolvent solves ``(I + lam M) z = x``.  M is a read-only copy, so
+    the matrix kept for the last lam cannot go stale.
+    """
+
+    #: ``(lam, I + lam M)`` of the last resolvent; a run holds lam fixed
+    _shifted = None
 
     def __init__(self, manifold: Euclidean, matrix, *, name: str = "linear"):
         if not isinstance(manifold, Euclidean):
             raise GeometryError("linear fields are only defined on Euclidean instances")
-        m = np.asarray(matrix, dtype=float)
+        m = _frozen(np.array(matrix, dtype=float))
         if m.shape != (manifold.dim, manifold.dim):
             raise GeometryError(f"matrix shape {m.shape} does not match {manifold.tag}")
         self.matrix = m
@@ -174,6 +187,13 @@ class LinearField(VectorField):
             known_zeros=(zero,) if _nonsingular(m) else (),
         )
 
+    def _closed_form(self, lam: float, x: ManifoldPoint) -> ManifoldPoint:
+        memo = self._shifted
+        if memo is None or memo[0] != lam:
+            memo = (lam, np.eye(self.manifold.ambient_dim) + lam * self.matrix)
+            self._shifted = memo
+        return self.manifold.point(np.linalg.solve(memo[1], x.coords))
+
 
 def _nonsingular(m: np.ndarray) -> bool:
     return np.linalg.matrix_rank(m) == m.shape[0]
@@ -184,6 +204,8 @@ class DistanceGradientField(VectorField):
 
     On a Hadamard manifold this gradient is ``-weight * log_x(anchor)``,
     a single-valued maximal monotone field whose only zero is the anchor.
+    Its resolvent is the point ``lam*w / (1 + lam*w)`` of the way along
+    the geodesic from x to the anchor.
     """
 
     def __init__(self, anchor: ManifoldPoint, weight: float = 1.0, *, name: str = ""):
@@ -198,6 +220,9 @@ class DistanceGradientField(VectorField):
             single_valued=True,
             known_zeros=(anchor,),
         )
+
+    def _closed_form(self, lam: float, x: ManifoldPoint) -> ManifoldPoint:
+        return geodesic_point(x, self.anchor, lam * self.weight / (1.0 + lam * self.weight))
 
 
 def anti_monotone_field(manifold: Euclidean) -> LinearField:
@@ -266,13 +291,11 @@ def resolvent_with_residual(
 ) -> tuple[ManifoldPoint, float]:
     """Resolvent of a monotone field, plus the residual norm it achieved.
 
-    The field's type picks the method.  Two types are solved exactly:
-
-    * :class:`LinearField`: dense solve of ``(I + lam M) z = x``;
-    * :class:`DistanceGradientField`: geodesic interpolation
-      ``z = gamma(x -> anchor; lam*w / (1 + lam*w))``.
-
-    Everything else runs the fixed-point iteration
+    A field that knows its resolvent in closed form returns it from
+    :meth:`VectorField._closed_form`.  On a flat chart of at most 32
+    coordinates every other field goes to a damped Newton iteration
+    first; where Newton finds no step, and off flat charts, the
+    fixed-point iteration runs:
 
         z_{k+1} = exp_{z_k}( eta_k * r_k ),   r_k = log_{z_k} x - lam * a(z_k)
 
@@ -283,8 +306,9 @@ def resolvent_with_residual(
     components, clamped to ``[1e-6, 1]``, or ``1.5 * eta_k`` (at most 1)
     when that denominator is not positive.  A trial is accepted only if
     it lowers the residual norm; otherwise the step halves.  A trial
-    whose ``exp`` or residual raises :class:`GeometryError` is rejected
-    the same way.
+    whose ``exp`` or residual raises :class:`GeometryError`, or whose
+    residual leaves the float range, is rejected the same way, and no
+    numpy warning escapes either solver.
     """
     z, residual, _ = _solve(field, cfg, x, initial)
     return z, residual
@@ -297,24 +321,18 @@ def _solve(
     if x.manifold is not field.manifold and x.manifold != field.manifold:
         raise GeometryError("query point is not on the field's manifold")
 
-    if isinstance(field, LinearField):
-        z_coords = np.linalg.solve(
-            np.eye(field.manifold.ambient_dim) + cfg.lam * field.matrix, x.coords
-        )
-        z = field.manifold.point(z_coords)
+    z = field._closed_form(cfg.lam, x)
+    if z is not None:
         return z, resolvent_residual(field, cfg.lam, x, z), 0
-
-    if isinstance(field, DistanceGradientField):
-        t = cfg.lam * field.weight / (1.0 + cfg.lam * field.weight)
-        z = geodesic_point(x, field.anchor, t)
-        return z, resolvent_residual(field, cfg.lam, x, z), 0
-
     z0 = initial if initial is not None else x
     if field.manifold.is_flat and field.manifold.ambient_dim <= 32:
         result = _newton_resolvent_flat(field, cfg, x, z0)
         if result is not None:
             return result
-    return _iterate_resolvent(field, cfg, x, z0)
+    # a residual or a two-point step past the float range is inf or NaN
+    # here, which the backtracking rejects, rather than a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _iterate_resolvent(field, cfg, x, z0)
 
 
 def resolvent(
@@ -337,10 +355,11 @@ def _newton_resolvent_flat(
     Shares its fixed points with the geometric iteration but
     converges quadratically, which matters for skew monotone fields
     (e.g. saddle fields) whose forward iterations stall at large lam.
-    Returns None to fall back when a Jacobian is singular or no descent
-    step exists (kinks of multivalued fields).  A trial point or defect
-    past the float range is a rejected trial; a start whose defect is
-    past it stalls, since no step can be formed from that defect.
+    Returns None to fall back when a Jacobian is singular or cannot be
+    formed (a stencil point past the float range) or no descent step
+    exists (kinks of multivalued fields).  A trial point or defect past
+    the float range is a rejected trial; a start whose defect is past it
+    stalls, since no step can be formed from that defect.
     """
     man = field.manifold
     dim = man.ambient_dim
@@ -370,11 +389,17 @@ def _newton_resolvent_flat(
         if rn <= cfg.inner_tol:
             return man.point(z), rn, k
         jac = np.empty((dim, dim))
+        z_list = z.tolist()
         for i in range(dim):
-            h = 1e-7 * max(1.0, abs(z[i]))
+            h = 1e-7 * max(1.0, abs(z_list[i]))
             zp = z.copy()
-            zp[i] += h
-            jac[:, i] = (defect(zp) - fz) / h
+            # on Python floats, as in defect: a stencil point past the
+            # float range is inf, which defect rejects
+            zp[i] = z_list[i] + h
+            try:
+                jac[:, i] = (defect(zp) - fz) / h
+            except GeometryError:
+                return None
         try:
             step = np.linalg.solve(jac, -fz)
         except np.linalg.LinAlgError:

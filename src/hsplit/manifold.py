@@ -450,8 +450,10 @@ class Manifold(ABC):
             )
         _require_finite(c, "point coordinates")
         if project:
-            # projecting can overflow, e.g. symmetrizing entries near the float maximum
-            c = _as_coords(self._project_point(c))
+            # projecting can overflow, e.g. symmetrizing entries near the
+            # float maximum; the check below rejects that, without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = _as_coords(self._project_point(c))
             _require_finite(c, "projected point coordinates")
         x = ManifoldPoint(self, c)
         self._validate_point(x)
@@ -471,7 +473,8 @@ class Manifold(ABC):
             )
         _require_finite(w, "tangent components")
         if project:
-            w = _as_coords(self._project_tangent(base.coords, w))
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = _as_coords(self._project_tangent(base.coords, w))
             _require_finite(w, "projected tangent components")
         self._validate_tangent(base.coords, w)
         return TangentVector(base, w)
@@ -589,7 +592,14 @@ class Manifold(ABC):
 
     def inner(self, u: TangentVector, v: TangentVector) -> float:
         _check_same_base(u, v)
-        val = float(self._inner(u.base.coords, u.components, v.components))
+        x, a, b = u.base.coords, u.components, v.components
+        # a dot over entries below 1e150 cannot overflow; larger ones take it
+        # under np.errstate, and the check below rejects what overflowed
+        if _squares_fit(a.tolist()) and _squares_fit(b.tolist()):
+            val = float(self._inner(x, a, b))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = float(self._inner(x, a, b))
         if not math.isfinite(val):
             raise GeometryError(f"non-finite inner product {val!r}")
         return val

@@ -272,6 +272,21 @@ def fields_suite(seed: int, *, with_anti_monotone: bool = False) -> list[Propert
     sols = [fields.resolvent(sub, cfg, x, initial=s) for s in starts]
     spread = max(dist(a, b) for a in sols for b in sols)
     out.append(_upper("fields", "inner_solver_single_valued", spread, 1e-6))
+
+    # each closed form against the inner solver on a plain field of the same
+    # values; the resolvent equation is 1-strongly monotone, so the two lie
+    # within the inner solver's residual of each other
+    worst_closed = 0.0
+    for vf in lib + [lin, dg, dg_h]:
+        plain = fields.VectorField(vf.manifold, vf.evaluate, name=f"plain[{vf.name}]")
+        for lam in lams:
+            cfg = fields.ResolventConfig(lam=lam, inner_tol=1e-12, inner_max_iter=2000)
+            for _ in range(5):
+                x = vf.manifold.random_point(rng, 2.0)
+                z = vf._closed_form(lam, x)
+                if z is not None:
+                    worst_closed = max(worst_closed, dist(z, fields.resolvent(plain, cfg, x)))
+    out.append(_upper("fields", "closed_form_matches_inner_solver", worst_closed, 1e-10))
     return out
 
 

@@ -6,6 +6,8 @@ means, the matrix geometric mean for commuting SPD anchors, and direct
 algebra for the saddle examples.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,12 @@ from hsplit.apps import (
     subdifferential_field,
 )
 from hsplit.equilibrium import convex_difference
-from hsplit.fields import check_monotone, monotonicity_slack
+from hsplit.fields import (
+    DistanceGradientField,
+    anti_monotone_field,
+    check_monotone,
+    monotonicity_slack,
+)
 from hsplit.manifold import (
     SPD,
     Euclidean,
@@ -103,6 +110,34 @@ def test_registration_refused_for_wrong_subgradients(rng):
     )
     with pytest.raises(RegistrationError):
         subdifferential_field(lying, rng=rng)
+
+
+def test_registration_checks_the_handed_on_gradient_field(rng):
+    # a program's gradient_field goes through every registration check:
+    # convexity and the subgradient inequality on the program, monotonicity
+    # on the field that subdifferential_field returns
+    m = Euclidean(1)
+    prog = squared_distance_program([m.point([1.0])])
+    assert subdifferential_field(prog, rng=rng) is prog.gradient_field
+    concave = dataclasses.replace(prog, objective=lambda x: -prog.objective(x))
+    with pytest.raises(RegistrationError):
+        subdifferential_field(concave, rng=rng)
+    anti = dataclasses.replace(prog, gradient_field=anti_monotone_field(m))
+    with pytest.raises(RegistrationError, match="monotonicity"):
+        subdifferential_field(anti, rng=rng)
+
+
+def test_hyper_dist_closed_form_run():
+    # the field resolvent is the geodesic point toward the anchor: the run
+    # keeps its 11 iterations, its final point moves in the last bit
+    # (final_dx_ref 8.9411057e-11 with the inner solver), and every field
+    # residual is at rounding level
+    problem = get_problem("hyper_dist")
+    assert isinstance(problem.field, DistanceGradientField)
+    trace = run(problem)
+    assert trace.termination_reason == "step_tol" and trace.iterations == 11
+    assert abs(trace.final_reference_distance() - 8.941106306e-11) < 3e-18
+    assert max(rec.res_field for rec in trace.records) <= 1e-12
 
 
 def test_subdifferential_monotone_on_samples(rng):

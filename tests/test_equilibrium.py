@@ -436,6 +436,6 @@ def test_field_induced_rejects_multivalued_field():
     with pytest.raises(EquilibriumError):
         field_induced(
             apps.subdifferential_field(
-                apps.squared_distance_program([m.point([0.0])]), check=False
+                apps.squared_distance_program([m.point([0.0]), m.point([1.0])]), check=False
             )
         )

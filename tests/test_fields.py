@@ -6,7 +6,9 @@ contracts (monotonicity, firm nonexpansiveness, fixed points) on seeded
 random data across the shipped field zoo.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -552,3 +554,107 @@ def test_resolvent_residual_takes_one_norm(m, rng, monkeypatch):
     calls.clear()
     resolvent_residual(two, 1.0, x, z)
     assert len(calls) == 3
+
+
+# -- closed-form resolvents ---------------------------------------------------------------
+
+CLOSED_FORM_MANIFOLDS = (Euclidean(3), Hyperboloid(2), SPD(2))
+
+
+def _single_anchor_program(m, rng):
+    return apps.squared_distance_program([m.random_point(rng, 1.5)], [0.7])
+
+
+@pytest.mark.parametrize("m", CLOSED_FORM_MANIFOLDS, ids=lambda m: m.tag)
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+def test_closed_form_matches_inner_solver(m, lam, rng):
+    prog = _single_anchor_program(m, rng)
+    closed = apps.subdifferential_field(prog)
+    generic = apps.subdifferential_field(dataclasses.replace(prog, gradient_field=None))
+    assert isinstance(closed, DistanceGradientField)
+    cfg = ResolventConfig(lam=lam)
+    for _ in range(5):
+        x = m.random_point(rng, 2.0)
+        z, res, steps = fields._solve(closed, cfg, x)
+        z_inner, res_inner, steps_inner = fields._solve(generic, cfg, x)
+        assert steps == 0 and steps_inner > 0
+        assert res <= cfg.inner_tol and res_inner <= cfg.inner_tol
+        assert dist(z, z_inner) <= cfg.inner_tol
+
+
+@pytest.mark.parametrize("m", CLOSED_FORM_MANIFOLDS, ids=lambda m: m.tag)
+def test_single_anchor_field_values_are_the_subgradient_bits(m, rng):
+    # -w log_x p against the generic subgradient's 0 + (-w) log_x p
+    prog = _single_anchor_program(m, rng)
+    for _ in range(20):
+        x = m.random_point(rng, 2.0)
+        (value,) = prog.gradient_field.evaluate(x)
+        (expected,) = prog.subgradient(x)
+        assert value.components.tobytes() == expected.components.tobytes()
+
+
+@pytest.mark.parametrize("m", CLOSED_FORM_MANIFOLDS, ids=lambda m: m.tag)
+def test_multi_anchor_program_takes_inner_solver(m, rng):
+    prog = apps.squared_distance_program([m.random_point(rng, 1.5) for _ in range(2)])
+    field = apps.subdifferential_field(prog)
+    assert prog.gradient_field is None and type(field) is VectorField
+    x = m.random_point(rng, 2.0)
+    assert field._closed_form(1.0, x) is None
+    _, res, steps = fields._solve(field, ResolventConfig(lam=1.0), x)
+    assert res <= 1e-10 and steps > 0
+
+
+def test_linear_field_memo_is_bit_identical_to_fresh_solves(rng):
+    m = Euclidean(3)
+    q = rng.standard_normal((3, 3))
+    field = LinearField(m, q)
+    x = m.random_point(rng, 3.0)
+    for lam in (0.5, 2.0, 0.5, 0.5, 2.0):
+        fresh = LinearField(m, q)._closed_form(lam, x)
+        z = resolvent(field, ResolventConfig(lam=lam), x)
+        oracle = np.linalg.solve(np.eye(3) + lam * q, x.coords)
+        assert z.coords.tobytes() == fresh.coords.tobytes() == oracle.tobytes()
+        assert field._shifted[0] == lam
+
+
+def test_linear_field_matrix_is_a_read_only_copy():
+    m = Euclidean(2)
+    q = np.eye(2)
+    field = LinearField(m, q)
+    q[0, 0] = 5.0
+    assert field.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        field.matrix[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("lam", [0.1, 10.0])
+def test_resolvent_two_point_step_inner_work_on_the_generic_route(lam):
+    # the shipped hyper_dist field takes its resolvent in closed form; the
+    # same values as a plain field go to the two-point step, which takes
+    # 5 inner steps at lam 0.1 and 6 at lam 10
+    prob = apps.get_problem("hyper_dist")
+    cfg = ResolventConfig(lam=lam)
+    assert fields._solve(prob.field, cfg, prob.x0)[2] == 0
+    generic = VectorField(prob.manifold, prob.field.evaluate, name="generic_hyper_dist")
+    z, res, steps = fields._solve(generic, cfg, prob.x0)
+    assert res <= cfg.inner_tol
+    assert steps <= 6
+
+
+# -- inner solvers at the edge of the float range ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sign, lam, start",
+    [(-1.0, 1.1, (1.5e308, 1.0)), (1.0, 0.5, (-1.7e308, 1.0)), (-1.0, 0.5, (1.5e308, 1.0))],
+    ids=["residual_multiply", "two_point_step", "newton_stencil"],
+)
+def test_inner_solvers_overflow_without_warning(sign, lam, start):
+    # a residual, two-point step or Jacobian stencil past the float range
+    # rejects its trial or ends the solve, and raises no numpy warning
+    m = Euclidean(2)
+    field = VectorField(m, lambda x: (TangentVector(x, sign * x.coords),), name="scaled_identity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolventNonconvergence):
+            resolvent_with_residual(field, ResolventConfig(lam=lam), m.point(start))
