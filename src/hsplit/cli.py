@@ -196,9 +196,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _float_grid(values: dict[str, str], key: str) -> list[float]:
     raw = values.get(key, _BENCH_GRID_DEFAULTS[key])
     try:
-        return [float(tok) for tok in str(raw).split(",") if tok.strip()]
+        grid = [float(tok) for tok in str(raw).split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"{key} must be comma-separated numbers, got {raw!r}") from exc
+    if not grid:  # an empty axis would sweep no cells
+        raise ConfigError(f"{key} grid is empty, got {raw!r}")
+    return grid
 
 
 def _bench_cell(problem_id: str, alpha: float, beta: float, lam: float, r: float,

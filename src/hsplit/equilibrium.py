@@ -32,14 +32,17 @@ that break the convexity assumption: the bifunction's anchors plus 64
 probes sampled at radius 0.1.  Such a bifunction needs at least one
 anchor.
 
-Both probe sets of a raw oracle are rows at one point.  The stencil
-points ``exp_z(+-h b)`` of a diagonal gradient come from one batched
-exponential, and so do the 64 certificate probes ``y_k = exp_z(v_k)``.
-The certificate keeps the tangent rows v_k, so it reads each term
-``<log_z x, v_k>`` without a logarithm, all of them from one row call
-of the metric.  Every point and every term equals the single call bit
-for bit, so a resolvent costs its oracle calls plus that exact
-geometry.
+Both probe sets of a raw oracle are fixed coefficients times the
+orthonormal frame ``b_1..b_d`` of ``T_z``, and each takes one batched
+exponential.  The stencil points are ``exp_z(+-h b_j)``.  The 64
+certificate probes are ``y_k = exp_z(v_k)`` for ``v_k = sum_j a_kj b_j``,
+where the coefficient rows a_k are drawn once per seed and scaled to
+norm 0.1, so every v_k has Riemannian norm 0.1 and the directions are
+uniform in the metric on every space.  By bilinearity each term
+``<log_z x, v_k>`` is ``a_k . c`` for the d frame coordinates
+``c_j = <log_z x, b_j>``: the certificate needs no logarithm of a probe
+and d inner products, not 64.  So a resolvent costs its oracle calls
+plus one exponential per probe.
 
 Both kinds share one config type: :func:`resolvent_T` takes the
 :class:`fields.ResolventConfig` of a field resolvent, reads its ``lam``
@@ -247,15 +250,15 @@ def equilibrium_residual(
 
     With ``x`` given, evaluates ``min_y F(z,y) - (1/r)<log_z x, log_z y>``
     over the probe points y; without it, plain ``min_y F(z,y)``.
-    ``sampled`` adds probes after them as a pair ``(v, points)``: tangent
-    rows v_k at z, one per probe, and the points ``exp_z(v_k)``.  Their
-    terms read ``<log_z x, v_k>``: the tangent is carried, not recovered
-    by a logarithm, and one row call of the metric gives every term, each
-    bit for bit what :func:`~hsplit.manifold.inner` gives.  Nonnegative
-    (up to solver tolerance) when z solves the respective problem; only
-    the probed directions are certified.
+    ``sampled`` adds probes after them as a pair ``(a, points)``: frame
+    coefficient rows a_k, one per probe, and the points ``exp_z(v_k)`` for
+    ``v_k = a_k @ frame``, the rows of ``Manifold._frame(z)``.  Their terms
+    read ``<log_z x, v_k>`` as ``a_k . c`` for the frame coordinates
+    ``c_j = <log_z x, b_j>``, by bilinearity; no logarithm of a probe is
+    taken.  Nonnegative (up to solver tolerance) when z solves the
+    respective problem; only the probed directions are certified.
     """
-    rows, points = sampled if sampled is not None else (None, ())
+    coeffs, points = sampled if sampled is not None else (None, ())
     if not probes and not points:
         raise EquilibriumError("no probe directions supplied")
     worst = math.inf
@@ -267,12 +270,9 @@ def equilibrium_residual(
     for y in probes:
         worst = min(worst, bifun.eval(z, y) - inner(log_zx, log_map(z, y)) / r)
     if points:
-        terms = z.manifold._inner_rows(z.coords, log_zx.components, rows)
-        for y, term in zip(points, terms):
-            val = bifun.eval(z, y)
-            if not math.isfinite(term):
-                raise GeometryError(f"non-finite inner product {term!r}")
-            worst = min(worst, val - term / r)
+        frame_coords = np.array([inner(log_zx, b) for b in z.manifold.tangent_basis(z)])
+        for y, term in zip(points, (coeffs @ frame_coords).tolist()):
+            worst = min(worst, bifun.eval(z, y) - term / r)
     return worst
 
 
@@ -283,22 +283,24 @@ _CERT_RADIUS = 0.1
 
 
 @functools.lru_cache(maxsize=32)
-def _certificate_normals(seed: int, ambient_dim: int) -> np.ndarray:
-    # the generator is reseeded on every certificate, so its draws never
-    # change; one block equals the old per-probe draws bit for bit
-    normals = np.random.default_rng(seed).standard_normal((_CERT_DIRECTIONS, ambient_dim))
-    normals.setflags(write=False)
-    return normals
+def _certificate_coefficients(seed: int, manifold_dim: int) -> np.ndarray:
+    # frame coefficient rows of norm 0.1; the generator is reseeded on
+    # every certificate, so one cached block serves every call
+    coeffs = np.random.default_rng(seed).standard_normal((_CERT_DIRECTIONS, manifold_dim))
+    coeffs *= _CERT_RADIUS / np.linalg.norm(coeffs, axis=1)[:, None]
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _certificate_probes(
     bifun: Bifunction, z: ManifoldPoint, seed: int
 ) -> tuple[tuple[ManifoldPoint, ...], tuple[np.ndarray, list[ManifoldPoint]]]:
-    """The anchors, and the 64 tangent rows v_k at radius 0.1 with their
-    points ``exp_z v_k``, as :meth:`~hsplit.manifold.Manifold.exp_sphere`
-    draws them."""
-    normals = _certificate_normals(seed, z.manifold.ambient_dim)
-    return bifun.anchors, z.manifold._sphere_points(z, normals, _CERT_RADIUS)
+    """The anchors, and the 64 frame coefficient rows a_k of norm 0.1 with
+    the points ``exp_z(a_k @ frame)``, the sampled probes of
+    :func:`equilibrium_residual`."""
+    man = z.manifold
+    coeffs = _certificate_coefficients(seed, man.manifold_dim)
+    return bifun.anchors, (coeffs, man._exp_points(z, coeffs @ man._frame(z)))
 
 
 def resolvent_T(

@@ -108,18 +108,6 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
     return p, err
 
 
-def _sphere_scale(n2: np.ndarray, radii: float | np.ndarray) -> np.ndarray:
-    # per-row factor taking squared norms n2 to `radii` (one, or one per
-    # row), as random_tangent computes it
-    if not np.all(n2 > _MIN_SAMPLE_NORM2):
-        raise GeometryError(
-            "a sphere direction has no tangential part: the direction is zero, or "
-            "the base point is at the edge of the chart, where its coordinates "
-            "swamp the direction's projection"
-        )
-    return radii / np.sqrt(n2)
-
-
 def _finite_sum(terms: list[float]) -> float:
     # exactly rounded sum; products that overflowed leave inf or nan terms
     try:
@@ -332,21 +320,20 @@ class Manifold(ABC):
     :meth:`tangent` check finiteness and then the constraints
     (``_validate_*``), :meth:`exp` and ``_exp_points`` the finiteness of
     their vectors and whether each result can serve as a point
-    (``_validate_exp_point``), :meth:`log`, :meth:`dist` and
-    :meth:`exp_sphere` the finiteness of their results, and
-    :func:`attached` every base point.  ``_exp_points`` is the batched
-    :meth:`exp` behind :meth:`exp_sphere`, :meth:`geodesic_points` and
-    :meth:`random_points`: one ``_exp_rows`` call serves many tangents at
-    one base point, and every row equals :meth:`exp` bit for bit.  It is
-    the one row path for every probe set at one point: the equilibrium
-    certificate's sphere rows, the finite-difference stencil of a raw
-    oracle and the membership probes each take one call.
-    ``_inner_rows(x, u, v)`` is ``_inner(x, u, v_k)`` for every row v_k,
-    bit for bit, so a probe set's metric terms take one call too.
-    :meth:`dist` keeps a per-point memo of the last distance a point
-    measured.  The flat spaces (:attr:`is_flat`: ``Euclidean`` and
-    products of flat factors) also implement ``_flat_dist(d)``, the
-    distance between two points whose coordinates differ by d.
+    (``_validate_exp_point``), :meth:`log` and :meth:`dist` the
+    finiteness of their results, and :func:`attached` every base point.
+    ``_exp_points`` is the batched :meth:`exp` behind
+    :meth:`geodesic_points` and :meth:`random_points`: one ``_exp_rows``
+    call serves many tangents at one base point, and every row equals
+    :meth:`exp` bit for bit.  It is the one row path for every probe set
+    at one point: the equilibrium certificate, the finite-difference
+    stencil of a raw oracle and the membership probes each build their
+    tangents as fixed coefficients times the closed-form frame
+    ``_frame(x)`` and take one call.  :meth:`dist` keeps a per-point
+    memo of the last distance a point measured.  The flat spaces
+    (:attr:`is_flat`: ``Euclidean`` and products of flat factors) also
+    implement ``_flat_dist(d)``, the distance between two points whose
+    coordinates differ by d.
     """
 
     # -- shape ---------------------------------------------------------
@@ -408,18 +395,6 @@ class Manifold(ABC):
         squared norm ``_inner`` gives each projected row."""
         w = np.array([self._project_tangent(x.coords, d) for d in directions])
         return w, np.array([self._inner(x.coords, r, r) for r in w])
-
-    def _inner_rows(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[float]:
-        """``_inner(x, u, v_k)`` for every row v_k of v, bit for bit."""
-        return [self._inner(x, u, r) for r in v]
-
-    def _sphere_tangents(
-        self, x: ManifoldPoint, directions: np.ndarray, radii: float | np.ndarray
-    ) -> np.ndarray:
-        """Rows of ``directions`` projected to T_x and scaled to norms ``radii``,
-        each as :meth:`random_tangent` computes it from that draw."""
-        w, n2 = self._tangent_rows(x, directions)
-        return _sphere_scale(n2, radii)[:, None] * w
 
     @abstractmethod
     def _frame(self, x: ManifoldPoint) -> np.ndarray:
@@ -496,42 +471,6 @@ class Manifold(ABC):
         y = ManifoldPoint(self, c)
         self._validate_exp_point(y)
         return y
-
-    def exp_sphere(
-        self, x: ManifoldPoint, directions: np.ndarray, radius: float
-    ) -> list[tuple[TangentVector, ManifoldPoint]]:
-        """Pairs ``(v, exp_x v)`` for tangents v of norm ``radius`` at x.
-
-        Each row of ``directions`` (ambient, shape ``(n, ambient_dim)``)
-        is projected to T_x and rescaled to Riemannian norm ``radius``.
-        Its pair equals, bit for bit, ``v = random_tangent(rng, x, radius)``
-        with a generator that draws that row, followed by ``exp(x, v)``;
-        one kernel call serves every row.  A row with no tangential part
-        raises :class:`GeometryError` where ``random_tangent`` would draw
-        again: a zero row, or, at the edge of the chart, a row whose
-        projection the coordinates of x swamp.
-        """
-        self._own_point(x)
-        directions = np.asarray(directions, dtype=float)
-        if directions.ndim != 2 or directions.shape[1] != self.ambient_dim:
-            raise GeometryError(
-                f"expected rows of {self.ambient_dim} coordinates for {self.tag}, "
-                f"got shape {directions.shape}"
-            )
-        _require_finite(directions, "directions")
-        if not 0.0 < radius < math.inf:
-            raise GeometryError(f"sphere radius {radius!r} is not positive and finite")
-        v, points = self._sphere_points(x, directions, float(radius))
-        # the rows are read-only views, as immutable as coordinates of their own
-        return [(TangentVector(x, vk), y) for vk, y in zip(v, points)]
-
-    def _sphere_points(
-        self, x: ManifoldPoint, directions: np.ndarray, radius: float
-    ) -> tuple[np.ndarray, list[ManifoldPoint]]:
-        """:meth:`exp_sphere` as rows, for checked arguments: the read-only
-        tangent rows v_k at x and the points ``exp(x, v_k)``."""
-        v = _frozen(self._sphere_tangents(x, directions, radius))
-        return v, self._exp_points(x, v)
 
     def _exp_points(self, x: ManifoldPoint, v: np.ndarray) -> list[ManifoldPoint]:
         """``exp(x, v_k)`` for every row v_k of v, with the checks :meth:`exp` makes."""
@@ -702,7 +641,10 @@ class Manifold(ABC):
         if np.all(radii != 0.0):
             base = self.base_point()
             try:
-                return self._exp_points(base, self._sphere_tangents(base, directions, radii))
+                # each row projected and scaled as random_tangent does it
+                w, n2 = self._tangent_rows(base, directions)
+                if np.all(n2 > _MIN_SAMPLE_NORM2):
+                    return self._exp_points(base, (radii / np.sqrt(n2))[:, None] * w)
             except GeometryError:
                 pass
         rng.bit_generator.state = state
@@ -908,17 +850,6 @@ class Hyperboloid(Manifold):
 
     def _inner(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
         return self.minkowski(u, v)
-
-    def _inner_rows(self, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> list[float]:
-        # the products of `minkowski`, one exactly rounded sum per row
-        signed = u.copy()
-        signed[0] = -signed[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = (v * signed).tolist()
-        try:
-            return list(map(math.fsum, rows))
-        except (OverflowError, ValueError):  # the row's own call raises its error
-            return super()._inner_rows(x, u, v)
 
     def _exp(self, x: ManifoldPoint, v: np.ndarray) -> np.ndarray:
         # The endpoint is exp of the exact tangential part of v taken at

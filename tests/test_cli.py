@@ -271,6 +271,16 @@ def test_bench_no_problems_exit_64(tmp_path):
     assert run_cli("bench", "--out", str(tmp_path)) == 64
 
 
+@pytest.mark.parametrize("flag,axis", [("--alpha", "alpha"), ("--beta", "beta"),
+                                       ("--lambda", "lambda"), ("--r", "r")])
+def test_bench_empty_axis_exit_64(tmp_path, capsys, flag, axis):
+    # an empty grid axis sweeps no cells, so it is refused before any output
+    assert run_cli("bench", "--problems", "euclid_quad", flag, ",",
+                   "--out", str(tmp_path)) == 64
+    assert f"config error: {axis} grid is empty" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
 def test_bench_invalid_stopping_rule_exit_64(tmp_path, capsys, flag):
     assert run_cli("bench", "--problems", "euclid_quad", flag, "-1",

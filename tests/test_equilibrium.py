@@ -7,6 +7,8 @@ firm nonexpansiveness, fixed points = equilibria, full domain) on the
 shipped bifunction zoo.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +22,7 @@ from hsplit.equilibrium import (
     convex_difference,
     equilibrium_residual,
     field_induced,
+    _certificate_coefficients,
     _certificate_probes,
     generic_bifunction,
     resolvent_T,
@@ -37,6 +40,7 @@ from hsplit.manifold import (
     GeometryError,
     Hyperboloid,
     Product,
+    TangentVector,
     dist,
     exp_map,
     geodesic_point,
@@ -202,21 +206,51 @@ def test_raw_resolvent_runs_the_distance_kernel_once_per_pair(rng, monkeypatch):
     assert runs[0] < 2 * calls["n"]
 
 
-@pytest.mark.parametrize("m", [Euclidean(2), Hyperboloid(2), SPD(2)], ids=lambda m: m.tag)
+@pytest.mark.parametrize(
+    "m", [Euclidean(2), Hyperboloid(2), SPD(2), Product((Euclidean(1), Hyperboloid(2)))],
+    ids=lambda m: m.tag,
+)
 def test_certificate_probes_match_sequential_draws(m, rng):
-    # the cached block of normals and the batched exp reproduce the
-    # per-probe random_tangent + exp_map sequence of a reseeded generator
-    z = m.random_point(rng, 1.5)
-    for seed in (0, 7):
-        bf = generic_bifunction(m, lambda x, y: 0.0, anchors=(m.base_point(),))
-        probes, (rows, points) = _certificate_probes(bf, z, seed)
-        assert len(probes) == 1 and rows.shape == (64, m.ambient_dim) and len(points) == 64
-        assert not rows.flags.writeable
-        sequential = np.random.default_rng(seed)
-        for v, y in zip(rows, points):
-            u = m.random_tangent(sequential, z, scale=0.1)
-            assert np.array_equal(v, u.components)
-            assert np.array_equal(y.coords, exp_map(z, u).coords)
+    # coefficient row k is the k-th draw of d normals from a reseeded
+    # generator, scaled to norm 0.1; its probe is exp_z of that row times
+    # the orthonormal frame, so every tangent has Riemannian norm 0.1
+    base = m.base_point()
+    bf = generic_bifunction(m, lambda x, y: 0.0, anchors=(base,))
+    for radius in (0.5, 4.0, 8.0):
+        z = m.exp(base, m.random_tangent(rng, base, radius))
+        for seed in (0, 7):
+            probes, (coeffs, points) = _certificate_probes(bf, z, seed)
+            assert probes == (base,) and coeffs.shape == (64, m.manifold_dim)
+            assert not coeffs.flags.writeable and len(points) == 64
+            _, (_, again) = _certificate_probes(bf, z, seed)
+            assert [y.coords.tolist() for y in again] == [y.coords.tolist() for y in points]
+            sequential = np.random.default_rng(seed)
+            for a in coeffs:
+                draw = sequential.standard_normal(m.manifold_dim)
+                np.testing.assert_allclose(a, 0.1 * draw / np.linalg.norm(draw), rtol=1e-14)
+            for v, y in zip(coeffs @ m._frame(z), points):
+                u = m.tangent(z, v)
+                assert np.array_equal(y.coords, exp_map(z, u).coords)
+                assert abs(u.norm() - 0.1) <= 1e-9
+
+
+def test_certificate_refuses_non_timelike_probes():
+    # probes 16, 23 and 32 of the seed-0 certificate at this radius-19
+    # base round to a spacelike self-product; exp refuses each, and the
+    # certificate's batched exp raises what exp raises
+    m = Hyperboloid(2)
+    base = m.base_point()
+    z = m.exp(base, m.tangent(base, [0.0, 19.0 * math.cos(1.85), 19.0 * math.sin(1.85)]))
+    bf = generic_bifunction(m, lambda x, y: 0.0, anchors=(base,))
+    with pytest.raises(GeometryError, match="non-timelike point from exp"):
+        _certificate_probes(bf, z, 0)
+    refused = []
+    for k, v in enumerate(_certificate_coefficients(0, 2) @ m._frame(z)):
+        try:
+            exp_map(z, TangentVector(z, v))
+        except GeometryError:
+            refused.append(k)
+    assert refused == [16, 23, 32]
 
 
 def _half_sq_dist_oracle(anchor, seen=None):
@@ -236,17 +270,20 @@ def _point_at(m, rng, radius):
         assume(False)
 
 
-ROW_MANIFOLDS = (Euclidean(2), Hyperboloid(2), Euclidean(3), Hyperboloid(3))
+PROBE_MANIFOLDS = (
+    Euclidean(2), Hyperboloid(2), Euclidean(3), Hyperboloid(3), SPD(2),
+    Product((Euclidean(1), Hyperboloid(2))),
+)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 radii = st.floats(min_value=0.0, max_value=8.0)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from(ROW_MANIFOLDS), seeds, radii, radii, radii,
+@given(st.sampled_from(PROBE_MANIFOLDS), seeds, radii, radii, radii,
        st.floats(min_value=0.05, max_value=20.0))
 def test_certificate_margin_matches_per_probe_loop_property(m, seed, ra, rz, rx, r):
-    # the row certificate equals the per-probe loop it replaces, bit for
-    # bit: sequential draws, exp_map, and inner(log_z x, v) per probe
+    # the certificate's terms a_k . c over the frame coordinates c equal
+    # the per-probe loop with inner(log_z x, v_k), up to rounding
     rng = np.random.default_rng(seed)
     a, z, x = _point_at(m, rng, ra), _point_at(m, rng, rz), _point_at(m, rng, rx)
     bf = generic_bifunction(m, _half_sq_dist_oracle(a), anchors=(a,))
@@ -257,20 +294,17 @@ def test_certificate_margin_matches_per_probe_loop_property(m, seed, ra, rz, rx,
     zr, xr, ar = m.point(z.coords), m.point(x.coords), m.point(a.coords)
     log_zx = log_map(zr, xr)
     expected = bf.eval(zr, ar) - inner(log_zx, log_map(zr, ar)) / r
-    sequential = np.random.default_rng(cert_seed)
-    for _ in range(64):
-        v = m.random_tangent(sequential, zr, 0.1)
-        val = bf.eval(zr, exp_map(zr, v)) - inner(log_zx, v) / r
-        expected = min(expected, val)
-    assert margin == expected
+    for v in _certificate_coefficients(cert_seed, m.manifold_dim) @ m._frame(zr):
+        u = TangentVector(zr, v)
+        expected = min(expected, bf.eval(zr, exp_map(zr, u)) - inner(log_zx, u) / r)
+    assert margin == pytest.approx(expected, rel=1e-12, abs=0.0)
     # without x the margin is the plain minimum over the same probes
     plain = equilibrium_residual(bf, z, probes, sampled=sampled)
     assert plain == min(bf.eval(z, y) for y in [*probes, *sampled[1]])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.sampled_from(ROW_MANIFOLDS + (SPD(2), Product((Euclidean(1), Hyperboloid(2))))),
-       seeds, radii, radii)
+@given(st.sampled_from(PROBE_MANIFOLDS), seeds, radii, radii)
 def test_diagonal_gradient_matches_scalar_exp_reference_property(m, seed, ra, rz):
     # the batched stencil is the per-vector loop of exp_map calls, bit for
     # bit, with the oracle called on the same points in the same order
@@ -329,6 +363,23 @@ def test_resolvent_certificate_failure_reports_rounds_run():
     with pytest.raises(fields.ResolventNonconvergence, match="failed its certificate") as info:
         resolvent_T(bf, cfg, m.point([1.0]))
     assert 0 < info.value.iterations < cfg.inner_max_iter
+
+
+def test_resolvent_certificate_failure_off_a_flat_chart():
+    # the same sign flip on Hyperboloid(2): y -> F(x, y) is concave, so
+    # the frame-built probes must still refuse the solver's point
+    m = Hyperboloid(2)
+    rng = np.random.default_rng(3)
+    a = m.random_point(rng, 1.0)
+    bf = generic_bifunction(
+        m, lambda x, y: 0.5 * dist(x, a) ** 2 - 0.5 * dist(y, a) ** 2,
+        name="concave", anchors=(a,),
+    )
+    for r in (0.1, 0.5):
+        cfg = ResolventConfig(lam=r)
+        with pytest.raises(fields.ResolventNonconvergence, match="failed its certificate") as info:
+            resolvent_T(bf, cfg, m.random_point(rng, 1.0))
+        assert 0 < info.value.iterations < cfg.inner_max_iter
 
 
 def test_resolvent_generic_requires_directions():

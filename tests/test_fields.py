@@ -191,18 +191,6 @@ def test_resolvent_curved_generic_solver(rng):
         assert resolvent_residual(field, lam, x, z) <= 1e-11
 
 
-@pytest.mark.parametrize("lam", [0.1, 10.0])
-def test_resolvent_two_point_step_inner_work(lam):
-    # the two-point step reads the step length from the last step taken,
-    # which takes 5 inner steps at lam 0.1 and 6 at lam 10.  lam = 1 takes
-    # 6 and is left unbounded: summed over a whole run it costs no more.
-    prob = apps.get_problem("hyper_dist")
-    cfg = ResolventConfig(lam=lam)
-    z, res, steps = fields._solve(prob.field, cfg, prob.x0)
-    assert res <= cfg.inner_tol
-    assert steps <= 6
-
-
 def test_resolvent_weak_field_at_lam_hi():
     # 0.01 times a distance gradient, as a plain field, at the largest
     # schedule lam: the resolvent is the midpoint toward the anchor
@@ -630,8 +618,10 @@ def test_linear_field_matrix_is_a_read_only_copy():
 @pytest.mark.parametrize("lam", [0.1, 10.0])
 def test_resolvent_two_point_step_inner_work_on_the_generic_route(lam):
     # the shipped hyper_dist field takes its resolvent in closed form; the
-    # same values as a plain field go to the two-point step, which takes
-    # 5 inner steps at lam 0.1 and 6 at lam 10
+    # same values as a plain field go to the two-point step, which reads
+    # the step length from the last step taken and takes 5 inner steps at
+    # lam 0.1 and 6 at lam 10.  lam = 1 takes 6 and is left unbounded:
+    # summed over a whole run it costs no more
     prob = apps.get_problem("hyper_dist")
     cfg = ResolventConfig(lam=lam)
     assert fields._solve(prob.field, cfg, prob.x0)[2] == 0

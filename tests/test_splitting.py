@@ -424,15 +424,12 @@ def test_run_oracle_failure_keeps_partial_trace():
     assert trace.final_point is trace.records[-1].x_next
 
 
-def test_default_schedule_solves_seeded_generic_instances_within_150_iterations():
-    # twelve raw-oracle instances drawn as the generic_equilibrium workload
-    # draws them for seed 5: anchors within radius 1 of the base point,
-    # starts at stratified radii in [0.5, 3]; each passes the workload's
-    # gate (ends by step_tol, within 100 * step_tol of the anchor, Fejer
-    # replay passes), and all twelve together take at most 150 iterations
-    rng = np.random.default_rng(5)
+def _generic_workload_traces(seed):
+    # the twelve raw-oracle instances the generic_equilibrium workload
+    # draws for a seed: anchors within radius 1 of the base point, starts
+    # at stratified radii in [0.5, 3]; each run under the default schedule
+    rng = np.random.default_rng(seed)
     radii = [0.5 + 2.5 * (k + rng.uniform()) / 6 for k in range(6)]
-    iterations = 0
     for radius in radii:
         for m in (Euclidean(2), Hyperboloid(2)):
             anchor = m.random_point(rng, 1.0)
@@ -444,17 +441,36 @@ def test_default_schedule_solves_seeded_generic_instances_within_150_iterations(
             start = exp_map(anchor, m.random_tangent(rng, anchor, radius))
             prob = ProblemInstance(m, start, field=DistanceGradientField(anchor),
                                    bifunction=bf, reference_solution=anchor)
-            trace = run(prob, stop=StoppingRule(step_tol=1e-8))
-            assert trace.termination_reason == "step_tol"
-            assert trace.final_reference_distance() <= 1e-6
-            assert fejer_diagnostics(trace).passed
-            iterations += trace.iterations
+            yield run(prob, stop=StoppingRule(step_tol=1e-8))
+
+
+def _assert_workload_gate(trace):
+    # ends by step_tol, within 100 * step_tol of the anchor, Fejer replay passes
+    assert trace.termination_reason == "step_tol"
+    assert trace.final_reference_distance() <= 1e-6
+    assert fejer_diagnostics(trace).passed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeded_generic_instances_pass_the_workload_gate(seed):
+    # every resolvent of these runs is certified on the frame-built probes
+    for trace in _generic_workload_traces(seed):
+        _assert_workload_gate(trace)
+
+
+def test_default_schedule_solves_seeded_generic_instances_within_150_iterations():
+    # the seed-5 instances pass the gate and all twelve together take at
+    # most 150 iterations
+    iterations = 0
+    for trace in _generic_workload_traces(5):
+        _assert_workload_gate(trace)
+        iterations += trace.iterations
     assert iterations <= 150
 
 
 def test_run_geometry_failure_keeps_trace():
-    # a raw oracle anchored at hyperbolic radius 19: a probe direction of
-    # its certificate loses its tangential part there, and the
+    # a raw oracle anchored at hyperbolic radius 19: a probe of its
+    # certificate rounds to a point off the hyperboloid there, and the
     # GeometryError ends the run with a trace.  (A field 1e6 times too
     # steep, whose first trial overflowed exp, ended here too, until
     # failing trials became rejected trials; the resolvent now converges.)
@@ -468,7 +484,7 @@ def test_run_geometry_failure_keeps_trace():
     bf = generic_bifunction(m, half_sq_dist_difference, anchors=(far,))
     trace = run(ProblemInstance(m, far, bifunction=bf), stop=StoppingRule(max_iter=5))
     assert trace.termination_reason == "resolvent_failure"
-    assert "a sphere direction has no tangential part" in trace.error
+    assert "non-timelike point from exp" in trace.error
     assert [rec.n for rec in trace.records] == list(range(trace.iterations))
     steep = VectorField(m, lambda x: (1e6 * -log_map(x, base),), name="steep")
     prob = ProblemInstance(m, m.point([math.cosh(1.0), math.sinh(1.0), 0.0]), field=steep)
