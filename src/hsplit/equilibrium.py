@@ -32,9 +32,11 @@ that break the convexity assumption: the bifunction's anchors plus 64
 probes sampled at radius 0.1.  Such a bifunction needs at least one
 anchor.
 
-Both probe sets of a raw oracle are fixed coefficients times the
-orthonormal frame ``b_1..b_d`` of ``T_z``, and each takes one batched
-exponential.  The stencil points are ``exp_z(+-h b_j)``.  The 64
+Both probe sets of a raw oracle are the frame points
+(``Manifold._frame_points``) of fixed coefficient rows in the orthonormal
+frame ``b_1..b_d`` of ``T_z``.  The stencil points are
+``exp_z(+-h b_j)``, and the gradient is ``sum_j g_j b_j`` for the d
+central differences g_j.  The 64
 certificate probes are ``y_k = exp_z(v_k)`` for ``v_k = sum_j a_kj b_j``,
 where the coefficient rows a_k are drawn once per seed and scaled to
 norm 0.1, so every v_k has Riemannian norm 0.1 and the directions are
@@ -66,6 +68,8 @@ from .manifold import (
     Manifold,
     ManifoldPoint,
     TangentVector,
+    _frozen,
+    _require_finite,
     inner,
     log_map,
 )
@@ -93,6 +97,15 @@ class EquilibriumError(fields.FieldError):
 
 #: central-difference step of the diagonal gradient of a raw oracle
 _FD_STEP = 1e-5
+
+
+@functools.lru_cache(maxsize=32)
+def _axis_steps(manifold_dim: int, steps: tuple[float, ...]) -> np.ndarray:
+    """The frame coefficient rows ``s e_j``, for every j and then every
+    step s in turn, read-only."""
+    rows = np.kron(np.eye(manifold_dim), np.array(steps)[:, None])
+    rows.setflags(write=False)
+    return rows
 
 
 class Bifunction:
@@ -148,23 +161,21 @@ class Bifunction:
         )
 
     def _diagonal_gradient(self, z: ManifoldPoint) -> tuple[TangentVector]:
-        """Central differences of ``t -> F(z, exp_z(t b))`` per basis vector b.
+        """Central differences of ``t -> F(z, exp_z(t b))`` per frame vector b.
 
         The stencil points ``exp_z(h b), exp_z(-h b)``, for every b in
-        turn, come from one batched exp, each bit for bit the single call.
+        turn, are the frame points of the rows ``+-h e_j``.  The gradient
+        ``g @ frame`` is tangent by construction: it is only checked finite.
         """
         man = z.manifold
-        frame = man._frame(z)
-        steps = np.empty((2 * len(frame), frame.shape[1]))
-        steps[0::2] = _FD_STEP * frame
-        steps[1::2] = -_FD_STEP * frame
-        stencil = man._exp_points(z, steps)
-        grad = np.zeros(man.ambient_dim)
-        for b, fwd_y, bwd_y in zip(frame, stencil[0::2], stencil[1::2]):
-            fwd = self.eval(z, fwd_y)
-            bwd = self.eval(z, bwd_y)
-            grad += ((fwd - bwd) / (2.0 * _FD_STEP)) * b
-        return (man.tangent(z, grad, project=True),)
+        stencil = man._frame_points(z, _axis_steps(man.manifold_dim, (_FD_STEP, -_FD_STEP)))
+        g = np.array([
+            (self.eval(z, fwd) - self.eval(z, bwd)) / (2.0 * _FD_STEP)
+            for fwd, bwd in zip(stencil[0::2], stencil[1::2])
+        ])
+        grad = _frozen(g @ man._frame(z))
+        _require_finite(grad, "diagonal gradient")
+        return (TangentVector(z, grad),)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Bifunction({self.name!r}, on {self.manifold.tag})"
@@ -300,7 +311,7 @@ def _certificate_probes(
     :func:`equilibrium_residual`."""
     man = z.manifold
     coeffs = _certificate_coefficients(seed, man.manifold_dim)
-    return bifun.anchors, (coeffs, man._exp_points(z, coeffs @ man._frame(z)))
+    return bifun.anchors, (coeffs, man._frame_points(z, coeffs))
 
 
 def resolvent_T(

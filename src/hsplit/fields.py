@@ -461,9 +461,16 @@ def _iterate_resolvent(
         # step s = eta*r just taken and the change of residual, on ambient
         # components; a NaN estimate falls to the clamp's lower end
         s = eta * r.components
-        sy = -float(s @ (r_new.components - r.components))
+        dr = r_new.components - r.components
+        ss, sy = float(s @ s), -float(s @ dr)
+        if not (math.isfinite(ss) and math.isfinite(sy)):
+            # the dots overflow near the float maximum; their ratio is the
+            # same for s and dr scaled by one power of two, which is exact
+            e = -math.frexp(float(np.max(np.abs(s))))[1]
+            s, dr = np.ldexp(s, e), np.ldexp(dr, e)
+            ss, sy = float(s @ s), -float(s @ dr)
         if sy > 0.0:
-            eta = min(1.0, max(1e-6, float(s @ s) / sy))
+            eta = min(1.0, max(1e-6, ss / sy))
         else:
             eta = min(1.5 * eta, 1.0)
         z, r, rn = z_new, r_new, rn_new

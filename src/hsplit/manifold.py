@@ -73,9 +73,10 @@ SINHC_SERIES_CUT = 1e-5
 DEGENERATE_SIDE_TOL = 1e-14
 #: squared tangent norm below which a sampled direction counts as zero
 _MIN_SAMPLE_NORM2 = 1e-20
-#: fewest rows the Hyperboloid's array exp serves; fewer loop the scalar
-#: kernel, which costs less below about six rows
-_ROW_KERNEL_MIN = 6
+#: fewest Hyperboloid frame points whose self-products come from the row
+#: kernel; fewer take the scalar form on first use, which costs less there
+#: (a whole 4-row set on Hyperboloid(2) 43 us against 54 us, even at 8)
+_ROW_KERNEL_MIN = 8
 #: largest tangent norm n a Hyperboloid exp accepts: its endpoint holds
 #: coordinates up to e^n x_0, and x_0 < sqrt(float max) at every point
 #: (its self-product is finite), so e^n x_0 stays below float max / e^0.5
@@ -93,6 +94,15 @@ def _stable_acosh1p(e: float) -> float:
         return math.sqrt(2.0 * e) * (1.0 - e / 12.0 + 3.0 * e * e / 160.0)
     s = 1.0 + e
     return math.log(s + math.sqrt(s * s - 1.0))
+
+
+def _sinhc_rows(n: np.ndarray) -> np.ndarray:
+    # sinh(n)/n of every entry, its Taylor series below SINHC_SERIES_CUT
+    t2 = n * n
+    s = 1.0 + t2 / 6.0 + t2 * t2 / 120.0
+    big = n >= SINHC_SERIES_CUT
+    s[big] = np.sinh(n[big]) / n[big]
+    return s
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
@@ -222,8 +232,9 @@ class ManifoldPoint:
     """A point on a concrete Hadamard manifold, in ambient chart coordinates.
 
     Besides its two fields a point keeps values computed from its
-    coordinates: the Hyperboloid self-product, a product point's factor
-    points, the distance memo of :meth:`Manifold.dist`, and the
+    coordinates: the Hyperboloid self-product, its tangent frame
+    (:meth:`Manifold._frame`), a product point's factor points, the
+    distance memo of :meth:`Manifold.dist`, and the
     solution-set membership memo of a problem's reference solution
     (:mod:`hsplit.splitting`).  The class attributes below are their
     "not yet computed" values.
@@ -233,6 +244,7 @@ class ManifoldPoint:
     coords: np.ndarray
 
     _self_product = None
+    _frame = None
     _parts = None
     _dist_memo = None
     _membership_memo = None
@@ -313,24 +325,28 @@ class Manifold(ABC):
 
     Subclasses implement the raw kernels (prefixed ``_``), which assume
     finite input.  ``_validate_point``, ``_validate_exp_point``, ``_exp``,
-    ``_exp_rows``, ``_tangent_rows``, ``_frame``, ``_log`` and ``_dist``
-    take points, so a space can read what a point caches
-    (:attr:`ManifoldPoint.self_product`); the others take coordinate
-    arrays.  Each check lives in one place: :meth:`point` and
+    ``_exp_rows``, ``_frame_rows``, ``_tangent_rows``, ``_build_frame``,
+    ``_log`` and ``_dist`` take points, so a space can read what a point
+    caches (:attr:`ManifoldPoint.self_product`); the others take
+    coordinate arrays.  Each check lives in one place: :meth:`point` and
     :meth:`tangent` check finiteness and then the constraints
-    (``_validate_*``), :meth:`exp` and ``_exp_points`` the finiteness of
-    their vectors and whether each result can serve as a point
+    (``_validate_*``), :meth:`exp` and the one body behind
+    ``_exp_points`` and ``_frame_points`` the finiteness of their vectors
+    and results and whether each result can serve as a point
     (``_validate_exp_point``), :meth:`log` and :meth:`dist` the
     finiteness of their results, and :func:`attached` every base point.
     ``_exp_points`` is the batched :meth:`exp` behind
     :meth:`geodesic_points` and :meth:`random_points`: one ``_exp_rows``
     call serves many tangents at one base point, and every row equals
-    :meth:`exp` bit for bit.  It is the one row path for every probe set
-    at one point: the equilibrium certificate, the finite-difference
-    stencil of a raw oracle and the membership probes each build their
-    tangents as fixed coefficients times the closed-form frame
-    ``_frame(x)`` and take one call.  :meth:`dist` keeps a per-point
-    memo of the last distance a point measured.  The flat spaces
+    :meth:`exp` bit for bit.  ``_frame_points(x, a)``, the points
+    ``exp(x, a_k @ _frame(x))`` of coefficient rows a_k in the frame
+    (built once per point), serves every probe set: the equilibrium
+    certificate, the finite-difference stencil of a raw oracle and the
+    membership probes.  Only its row kernel ``_frame_rows`` differs from
+    ``_exp_points``, and only on the Hyperboloid, whose closed form
+    matches :meth:`exp` to the float64 floor of the chart, not bit for
+    bit.  :meth:`dist` keeps a per-point memo of the last distance a
+    point measured.  The flat spaces
     (:attr:`is_flat`: ``Euclidean`` and products of flat factors) also
     implement ``_flat_dist(d)``, the distance between two points whose
     coordinates differ by d.
@@ -397,8 +413,17 @@ class Manifold(ABC):
         return w, np.array([self._inner(x.coords, r, r) for r in w])
 
     @abstractmethod
-    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+    def _build_frame(self, x: ManifoldPoint) -> np.ndarray:
         """Orthonormal basis of T_x in closed form, one vector per row."""
+
+    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+        """``_build_frame(x)``, read-only; x is immutable, so it is built
+        once and kept with x."""
+        b = x._frame
+        if b is None:
+            b = _frozen(self._build_frame(x))
+            _keep(x, "_frame", b)
+        return b
 
     def _validate_point(self, x: ManifoldPoint) -> None:
         """Raise GeometryError unless the finite coordinates of x are a point."""
@@ -474,11 +499,29 @@ class Manifold(ABC):
 
     def _exp_points(self, x: ManifoldPoint, v: np.ndarray) -> list[ManifoldPoint]:
         """``exp(x, v_k)`` for every row v_k of v, with the checks :meth:`exp` makes."""
+        return self._checked_points(x, v, lambda: self._exp_rows(x, v))
+
+    def _frame_points(self, x: ManifoldPoint, coeffs: np.ndarray) -> list[ManifoldPoint]:
+        """``exp(x, a_k @ _frame(x))`` for every coefficient row a_k, with
+        the checks :meth:`exp` makes."""
+        v = coeffs @ self._frame(x)
+        return self._checked_points(x, v, lambda: self._frame_rows(x, coeffs, v))
+
+    def _frame_rows(
+        self, x: ManifoldPoint, coeffs: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``_exp_rows(x, v)`` of the rows ``v = coeffs @ _frame(x)``; a
+        space may use that each row's norm is its coefficients' norm."""
+        return self._exp_rows(x, v)
+
+    def _checked_points(self, x: ManifoldPoint, v: np.ndarray, rows) -> list[ManifoldPoint]:
+        # the points whose coordinates (and self-products, or None) rows()
+        # gives for the tangents v at x, with the checks exp makes
         if not len(v):
             return []
         try:
             _require_finite(v, "tangent components")
-            c, q = self._exp_rows(x, v)
+            c, q = rows()
             c = _frozen(np.asarray(c, dtype=float))
             _require_finite(c, "point coordinates from exp")
             points = [ManifoldPoint(self, ck) for ck in c]
@@ -593,7 +636,7 @@ class Manifold(ABC):
         """Orthonormal basis of T_x under the Riemannian metric, in closed form."""
         self._own_point(x)
         # the rows are read-only views, as immutable as coordinates of their own
-        return tuple(TangentVector(x, b) for b in _frozen(self._frame(x)))
+        return tuple(TangentVector(x, b) for b in self._frame(x))
 
     def random_tangent(
         self, rng: np.random.Generator, x: ManifoldPoint, scale: float = 1.0
@@ -723,7 +766,7 @@ class Euclidean(Manifold):
         """Distance between two points whose coordinates differ by d."""
         return _euclidean_norm(d)
 
-    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+    def _build_frame(self, x: ManifoldPoint) -> np.ndarray:
         return np.eye(self.dim)
 
 
@@ -888,10 +931,7 @@ class Hyperboloid(Manifold):
         # _exp and _project_point for all rows at once, plus the exact
         # self-product of each result.  Each Minkowski form is an exactly
         # rounded sum of the same products as the scalar code's, so every
-        # row matches it bit for bit.  Below _ROW_KERNEL_MIN rows the array
-        # set-up costs more than the scalar kernel saves, so those loop _exp
-        if len(v) < _ROW_KERNEL_MIN:
-            return super()._exp_rows(x, v)
+        # row matches it bit for bit
         ld = np.longdouble
         xc = x.coords
         qx = ld(x.self_product)
@@ -904,10 +944,7 @@ class Hyperboloid(Manifold):
         n = np.sqrt(np.maximum(n2, 0.0))
         if np.any(n > _EXP_MAX_NORM):
             raise GeometryError("exp leaves the float range")
-        t2 = n * n
-        s = 1.0 + t2 / 6.0 + t2 * t2 / 120.0
-        big = n >= SINHC_SERIES_CUT
-        s[big] = np.sinh(n[big]) / n[big]
+        s = _sinhc_rows(n)
         a = np.cosh(n) / np.sqrt(-qx) - s * m / qx
         c = np.asarray(a[:, None] * xc.astype(ld) + s[:, None] * v.astype(ld), dtype=float)
 
@@ -916,6 +953,24 @@ class Hyperboloid(Manifold):
             raise GeometryError("cannot project coordinates with non-timelike self-product")
         c = c / np.sqrt(-q)[:, None]
         c = np.where(c[:, :1] > 0.0, c, -c)
+        return c, self._minkowski_exact_rows(c, c)
+
+    def _frame_rows(
+        self, x: ManifoldPoint, coeffs: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        # The frame is orthonormal, so v_k = a_k @ frame has norm rho = |a_k|
+        # and exp_x(v_k) = cosh(rho) x + sinh(rho)/rho v_k, with no Minkowski
+        # form, no extended precision and no projection.  That sits at the
+        # float64 floor eps cosh(R)^2 of the chart, as the exact kernel does
+        # (Mishne et al., "The numerical stability of hyperbolic
+        # representation learning", ICML 2023)
+        rho = np.sqrt(np.einsum("ij,ij->i", coeffs, coeffs))
+        if np.any(rho > _EXP_MAX_NORM):
+            raise GeometryError("exp leaves the float range")
+        c = np.cosh(rho)[:, None] * x.coords + _sinhc_rows(rho)[:, None] * v
+        if len(c) < _ROW_KERNEL_MIN:
+            # the points then take the scalar minkowski_exact, the same bits
+            return c, None
         return c, self._minkowski_exact_rows(c, c)
 
     def _tangent_rows(
@@ -969,7 +1024,7 @@ class Hyperboloid(Manifold):
             return np.zeros_like(x)
         return (d / math.sqrt(tn2)) * t
 
-    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+    def _build_frame(self, x: ManifoldPoint) -> np.ndarray:
         # the standard frame e_1..e_n at the base point e_0, moved to x by
         # parallel transport along the geodesic: e_i + x_i/(1+x_0) (e_0 + x),
         # an isometry of tangent spaces
@@ -1094,7 +1149,7 @@ class SPD(Manifold):
             raise GeometryError("second argument is not positive definite")
         return float(np.linalg.norm(np.log(w)))
 
-    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+    def _build_frame(self, x: ManifoldPoint) -> np.ndarray:
         # U -> P^1/2 U P^1/2 maps T_I isometrically onto T_P; it takes the
         # frame at the identity (the diagonal units, then (E_ij + E_ji)/sqrt 2
         # for i < j) to the symmetrized outer products of rows of P^1/2
@@ -1256,12 +1311,12 @@ class Product(Manifold):
         """Distance between two points of a flat product whose coordinates differ by d."""
         return _root_sum_squares([f._flat_dist(d[s]) for f, s in zip(self.factors, self._slices)])
 
-    def _frame(self, x: ManifoldPoint) -> np.ndarray:
+    def _build_frame(self, x: ManifoldPoint) -> np.ndarray:
         # the factor frames, each padded with zeros in the other factors
         b = np.zeros((self.manifold_dim, self.ambient_dim))
         row = 0
         for f, p, s in zip(self.factors, self._parts(x), self._slices):
-            fb = f._frame(p)
+            fb = f._build_frame(p)
             b[row:row + len(fb), s] = fb
             row += len(fb)
         return b

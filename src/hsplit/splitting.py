@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import equilibrium as eq
 from . import fields
 from .manifold import (
@@ -219,7 +217,7 @@ MEMBERSHIP_TOL = 1e-6
 #: geodesic radii of the tangent-frame probes of the equilibrium residual
 _PROBE_RADII = (0.5, 1.0)
 #: signed radii of the probes along each frame vector, in probe order
-_PROBE_STEPS = np.array([s * radius for radius in _PROBE_RADII for s in (1.0, -1.0)])
+_PROBE_STEPS = tuple(s * radius for radius in _PROBE_RADII for s in (1.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -269,8 +267,9 @@ def membership_residuals(
     deterministic probes (tangent frame directions at the given radii
     plus any registered anchors).  Both are zero at a common solution.
     The frame probes ``exp(point, +-radius b)``, for every frame vector b
-    and radius in turn, come from one batched exp, each bit for bit the
-    single call.
+    and radius in turn, are the frame points
+    (:meth:`Manifold._frame_points`) of the coefficient rows
+    ``+-radius e_j``.
     """
     res_a = 0.0
     if field is not None:
@@ -278,9 +277,7 @@ def membership_residuals(
     res_f = 0.0
     if bifunction is not None:
         man = point.manifold
-        frame = man._frame(point)
-        steps = frame[:, None, :] * _PROBE_STEPS[:, None]
-        probes = man._exp_points(point, steps.reshape(-1, frame.shape[1]))
+        probes = man._frame_points(point, eq._axis_steps(man.manifold_dim, _PROBE_STEPS))
         probes.extend(bifunction.anchors)
         probes.extend(bifunction.known_equilibria)
         res_f = max(0.0, -eq.equilibrium_residual(bifunction, point, probes))

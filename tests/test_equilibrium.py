@@ -206,8 +206,30 @@ def test_raw_resolvent_runs_the_distance_kernel_once_per_pair(rng, monkeypatch):
     assert runs[0] < 2 * calls["n"]
 
 
+#: C of the float64 Lorentz floor ``C eps cosh(R)^2`` within which a
+#: Hyperboloid frame point at radius R keeps to the exact exp
+_LORENTZ_FLOOR_C = 16.0
+
+
+def _assert_frame_points_match_exp(m, z, coeffs, points):
+    # on a Hyperboloid the closed-form point lies within the Lorentz floor
+    # of exp_map, and at the distance |a_k| from z up to that floor; on
+    # every other space it is exp_map bit for bit
+    radius = dist(m.base_point(), z)
+    for a, v, y in zip(coeffs, coeffs @ m._frame(z), points):
+        exact = exp_map(z, m.tangent(z, v))
+        if isinstance(m, Hyperboloid):
+            rho = float(np.linalg.norm(a))
+            floor = _LORENTZ_FLOOR_C * np.finfo(float).eps * math.cosh(radius + rho) ** 2
+            assert dist(y, exact) <= floor
+            assert abs(dist(z, y) - rho) <= floor
+        else:
+            assert np.array_equal(y.coords, exact.coords)
+
+
 @pytest.mark.parametrize(
-    "m", [Euclidean(2), Hyperboloid(2), SPD(2), Product((Euclidean(1), Hyperboloid(2)))],
+    "m",
+    [Euclidean(2), Hyperboloid(2), Hyperboloid(3), SPD(2), Product((Euclidean(1), Hyperboloid(2)))],
     ids=lambda m: m.tag,
 )
 def test_certificate_probes_match_sequential_draws(m, rng):
@@ -228,10 +250,9 @@ def test_certificate_probes_match_sequential_draws(m, rng):
             for a in coeffs:
                 draw = sequential.standard_normal(m.manifold_dim)
                 np.testing.assert_allclose(a, 0.1 * draw / np.linalg.norm(draw), rtol=1e-14)
-            for v, y in zip(coeffs @ m._frame(z), points):
-                u = m.tangent(z, v)
-                assert np.array_equal(y.coords, exp_map(z, u).coords)
-                assert abs(u.norm() - 0.1) <= 1e-9
+            for v in coeffs @ m._frame(z):
+                assert abs(m.tangent(z, v).norm() - 0.1) <= 1e-9
+            _assert_frame_points_match_exp(m, z, coeffs, points)
 
 
 def test_certificate_refuses_non_timelike_probes():
@@ -306,24 +327,25 @@ def test_certificate_margin_matches_per_probe_loop_property(m, seed, ra, rz, rx,
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from(PROBE_MANIFOLDS), seeds, radii, radii)
 def test_diagonal_gradient_matches_scalar_exp_reference_property(m, seed, ra, rz):
-    # the batched stencil is the per-vector loop of exp_map calls, bit for
-    # bit, with the oracle called on the same points in the same order
+    # the stencil is the per-vector loop of exp_map calls, with the oracle
+    # called on its points in the same order: bit for bit off the
+    # Hyperboloid, within the Lorentz floor on it.  The gradient is
+    # g @ frame for the central differences g of the oracle's values
     rng = np.random.default_rng(seed)
     a, z = _point_at(m, rng, ra), _point_at(m, rng, rz)
-    seen = []
-    bf = generic_bifunction(m, _half_sq_dist_oracle(a, seen), anchors=(a,))
+    seen, values = [], []
+    oracle = _half_sq_dist_oracle(a, seen)
+    bf = generic_bifunction(m, lambda x, y: values.append(oracle(x, y)) or values[-1],
+                            anchors=(a,))
     (got,) = bf.resolvent_field.evaluate(z)
-    batched, seen[:] = list(seen), []
+    batched = [m.point(c) for c in seen]
+    g = (np.array(values[0::2]) - np.array(values[1::2])) / (2.0 * _FD_STEP)
+    assert got.components.tolist() == (g @ m._frame(z)).tolist()
+    assert len(batched) == 2 * m.manifold_dim
 
     zr = m.point(z.coords)
-    grad = np.zeros(m.ambient_dim)
-    for b in m.tangent_basis(zr):
-        fwd = bf.eval(zr, exp_map(zr, _FD_STEP * b))
-        bwd = bf.eval(zr, exp_map(zr, -_FD_STEP * b))
-        grad += ((fwd - bwd) / (2.0 * _FD_STEP)) * b.components
-    expected = m.tangent(zr, grad, project=True)
-    assert got.components.tolist() == expected.components.tolist()
-    assert batched == seen and len(seen) == 2 * m.manifold_dim
+    coeffs = np.kron(np.eye(m.manifold_dim), [[_FD_STEP], [-_FD_STEP]])
+    _assert_frame_points_match_exp(m, zr, coeffs, batched)
 
 
 def test_resolvent_dispatches_on_gradient_field():

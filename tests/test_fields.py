@@ -648,3 +648,18 @@ def test_inner_solvers_overflow_without_warning(sign, lam, start):
         warnings.simplefilter("error")
         with pytest.raises(ResolventNonconvergence):
             resolvent_with_residual(field, ResolventConfig(lam=lam), m.point(start))
+
+
+def test_two_point_step_rescales_overflowing_dots():
+    # at -1.7e308 both dots of the two-point step overflow; their ratio,
+    # taken again on s and the residual change scaled by one power of two,
+    # keeps the step length, so the solve stalls at the rounding floor of
+    # its coordinates within a few steps instead of running its budget at
+    # the clamp's 1e-6
+    m = Euclidean(2)
+    field = VectorField(m, lambda x: (TangentVector(x, x.coords),), name="identity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolventNonconvergence, match="stalled") as info:
+            resolvent_with_residual(field, ResolventConfig(lam=0.5), m.point([-1.7e308, 1.0]))
+    assert info.value.iterations < 10

@@ -224,10 +224,13 @@ def test_exp_hyperboloid_beyond_the_float_range_raises_without_warnings(radius):
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match="exp leaves the float range: tangent norm"):
             h.exp(base, h.tangent(base, [0.0, radius, 0.0]))
-        # two rows loop the scalar kernel, eight take the array kernel
+        # two rows and eight rows, both through the array kernel
         for batch in (rows, np.repeat(rows, 4, axis=0)):
             with pytest.raises(GeometryError, match="exp leaves the float range"):
                 h._exp_rows(base, batch)
+        # the frame points' closed form raises too, and exp names the row
+        with pytest.raises(GeometryError, match="exp leaves the float range: tangent norm"):
+            h._frame_points(base, rows[:, 1:])
 
 
 # -- log_map --------------------------------------------------------------------
@@ -1044,6 +1047,46 @@ def test_tangent_basis_at_the_base_point_is_the_standard_frame():
     }
     for m, rows in expected.items():
         assert [b.components.tolist() for b in m.tangent_basis(m.base_point())] == rows
+
+
+def test_frame_is_built_once_per_point_and_read_only(manifold, rng, monkeypatch):
+    # the frame points, tangent_basis and _frame at one point share one frame
+    builds = []
+    kernel = type(manifold)._build_frame
+    monkeypatch.setattr(
+        type(manifold), "_build_frame", lambda self, x: builds.append(x) or kernel(self, x)
+    )
+    z = manifold.random_point(rng, 2.0)
+    frame = manifold._frame(z)
+    assert not frame.flags.writeable
+    manifold._frame_points(z, 0.1 * rng.standard_normal((4, manifold.manifold_dim)))
+    basis = manifold.tangent_basis(z)
+    assert manifold._frame(z) is frame and builds == [z]
+    assert [b.components.tolist() for b in basis] == frame.tolist()
+    with pytest.raises(ValueError):
+        frame[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("rows", [4, 64])
+def test_hyperboloid_frame_points_cache_exact_self_products(rows, rng):
+    # below _ROW_KERNEL_MIN rows the self-products come from the scalar
+    # form on first use, from there on from the row kernel: both are
+    # minkowski_exact's bits
+    m = Hyperboloid(2)
+    z = _point_at(m, rng, 3.0)
+    points = m._frame_points(z, 0.1 * rng.standard_normal((rows, 2)))
+    assert len(points) == rows
+    _assert_cached_self_products(m, points)
+
+
+@pytest.mark.parametrize("m", [Hyperboloid(2), Hyperboloid(3)], ids=lambda m: m.tag)
+def test_hyperboloid_frame_point_of_a_zero_row_is_the_base(m, rng):
+    z = _point_at(m, rng, 4.0)
+    coeffs = np.zeros((3, m.dim))
+    coeffs[1] = 0.1
+    points = m._frame_points(z, coeffs)
+    assert points[0].coords.tolist() == points[2].coords.tolist() == z.coords.tolist()
+    assert dist(z, points[1]) == pytest.approx(0.1 * math.sqrt(m.dim), rel=1e-12)
 
 
 def test_euclidean_inner_matches_matmul(rng):
