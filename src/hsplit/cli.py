@@ -201,7 +201,18 @@ def _float_grid(values: dict[str, str], key: str) -> list[float]:
         raise ConfigError(f"{key} must be comma-separated numbers, got {raw!r}") from exc
     if not grid:  # an empty axis would sweep no cells
         raise ConfigError(f"{key} grid is empty, got {raw!r}")
-    return grid
+    return _distinct(key, grid)
+
+
+def _distinct(key: str, values: list) -> list:
+    # a repeated value would sweep its cells twice, the second run writing
+    # over the first's trace files, whose stem spells the value by repr
+    seen = set()
+    for v in values:
+        if repr(v) in seen:
+            raise ConfigError(f"{key} repeats {v!r}")
+        seen.add(repr(v))
+    return values
 
 
 def _bench_cell(problem_id: str, alpha: float, beta: float, lam: float, r: float,
@@ -234,6 +245,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         problems = [p.strip() for p in values.get("problems", "").split(",") if p.strip()]
         if not problems:
             raise ConfigError("no problems specified")
+        _distinct("problems", problems)
         alphas, betas, lams, rs = (_float_grid(values, key) for key in _BENCH_GRID_DEFAULTS)
         stop = splitting.StoppingRule(**_set_kwargs(values, _STOP_KEYS))
         seed = _int(values, "seed") if "seed" in values else 0

@@ -105,6 +105,27 @@ def _sinhc_rows(n: np.ndarray) -> np.ndarray:
     return s
 
 
+def _sinhc(n: float) -> float:
+    # _sinhc_rows of one nonnegative scalar
+    if n < SINHC_SERIES_CUT:
+        t2 = n * n
+        return 1.0 + t2 / 6.0 + t2 * t2 / 120.0
+    return math.sinh(n) / n
+
+
+def _hyperbolic_weights(d: float, t: float) -> tuple[float, float]:
+    """Weights ``(a, b)`` of the point ``a x + b y`` at t on a hyperbolic
+    geodesic of length d from x to y.
+
+    ``a = sinh((1-t) d) / sinh(d)`` and ``b = sinh(t d) / sinh(d)``, taken
+    as ratios of sinhc, so d = 0 gives ``(1 - t, t)`` with no case of its
+    own.
+    """
+    s = _sinhc(d)
+    u = 1.0 - t
+    return u * _sinhc(u * d) / s, t * _sinhc(t * d) / s
+
+
 def _two_product(a: float, b: float) -> tuple[float, float]:
     # Dekker's error-free product via 2^27+1 splitting: p + err == a*b exactly
     p = a * b
@@ -199,6 +220,27 @@ def _flat_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     then reject as a non-finite result, without a numpy warning.
     """
     return np.fromiter(map(operator.sub, y.tolist(), x.tolist()), float, len(x))
+
+
+def _flat_geodesic(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+    """``x + t*(y - x)``: the point at t of a flat geodesic, on Python floats.
+
+    The same IEEE operations as ``exp(x, t * log(x, y))``, so the same
+    bits.  A difference that overflows raises log's error; an overflowing
+    sum gives inf, which the caller rejects, without a numpy warning.
+    """
+    a = x.tolist()
+    d = list(map(operator.sub, y.tolist(), a))
+    if not all(map(math.isfinite, d)):
+        _require_finite(np.array(d), "tangent components from log")
+    return np.array([p + t * q for p, q in zip(a, d)])
+
+
+def _flat_geodesic_rows(x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    # _flat_geodesic at every t of ts, one row each, bit for bit
+    d = _flat_difference(x, y)
+    _require_finite(d, "tangent components from log")
+    return _flat_exp(x, np.multiply.outer(ts, d))
 
 
 def _flat_exp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -326,19 +368,27 @@ class Manifold(ABC):
     Subclasses implement the raw kernels (prefixed ``_``), which assume
     finite input.  ``_validate_point``, ``_validate_exp_point``, ``_exp``,
     ``_exp_rows``, ``_frame_rows``, ``_tangent_rows``, ``_build_frame``,
-    ``_log`` and ``_dist`` take points, so a space can read what a point
-    caches (:attr:`ManifoldPoint.self_product`); the others take
-    coordinate arrays.  Each check lives in one place: :meth:`point` and
+    ``_geodesic``, ``_geodesic_rows``, ``_log`` and ``_dist`` take
+    points, so a space can read what a point caches
+    (:attr:`ManifoldPoint.self_product`); the others take coordinate
+    arrays.  Each check lives in one place: :meth:`point` and
     :meth:`tangent` check finiteness and then the constraints
-    (``_validate_*``), :meth:`exp` and the one body behind
-    ``_exp_points`` and ``_frame_points`` the finiteness of their vectors
-    and results and whether each result can serve as a point
+    (``_validate_*``), :meth:`exp`, :meth:`geodesic` and the bodies
+    behind their batched forms the finiteness of their arguments and
+    results and whether each result can serve as a point
     (``_validate_exp_point``), :meth:`log` and :meth:`dist` the
     finiteness of their results, and :func:`attached` every base point.
-    ``_exp_points`` is the batched :meth:`exp` behind
-    :meth:`geodesic_points` and :meth:`random_points`: one ``_exp_rows``
-    call serves many tangents at one base point, and every row equals
-    :meth:`exp` bit for bit.  ``_frame_points(x, a)``, the points
+    :meth:`geodesic` takes an interior point from ``_geodesic``, a
+    function of the two endpoints: ``exp(x, t * log(x, y))`` on ``SPD``,
+    ``x + t (y - x)`` on flat spaces (the same bits), the closed form
+    ``(sinh((1-t)d) x + sinh(td) y) / sinh(d)`` on ``Hyperboloid`` (within
+    the float64 floor ``eps cosh(R)^2`` of the chart) and the factor
+    kernels on a mixed ``Product``.  :meth:`geodesic_points` takes its
+    rows from ``_geodesic_rows``, the same coefficients broadcast, so
+    every row equals :meth:`geodesic` bit for bit.  ``_exp_points`` is
+    the batched :meth:`exp` behind :meth:`random_points`: one
+    ``_exp_rows`` call serves many tangents at one base point, and every
+    row equals :meth:`exp` bit for bit.  ``_frame_points(x, a)``, the points
     ``exp(x, a_k @ _frame(x))`` of coefficient rows a_k in the frame
     (built once per point), serves every probe set: the equilibrium
     certificate, the finite-difference stencil of a raw oracle and the
@@ -491,11 +541,29 @@ class Manifold(ABC):
         if not attached(v, x):
             raise GeometryError("tangent vector is not attached to the given base point")
         _require_finite(v.components, "tangent components")
-        c = _frozen(self._exp(x, v.components))
+        return self._exp_point(self._exp(x, v.components))
+
+    def _exp_point(self, c: np.ndarray) -> ManifoldPoint:
+        # the point with the fresh kernel coordinates c, with the checks exp
+        # makes of its result
+        c = _frozen(c)
         _require_finite(c, "point coordinates from exp")
         y = ManifoldPoint(self, c)
         self._validate_exp_point(y)
         return y
+
+    def _exp_point_rows(self, c: np.ndarray, q: np.ndarray | None) -> list[ManifoldPoint]:
+        # _exp_point of every row of c, each point keeping its self-product
+        # from q where the space gives them (else None)
+        c = _frozen(np.asarray(c, dtype=float))
+        _require_finite(c, "point coordinates from exp")
+        points = [ManifoldPoint(self, ck) for ck in c]
+        if q is not None:
+            for y, qk in zip(points, q.tolist()):
+                _keep(y, "_self_product", qk)
+        for y in points:
+            self._validate_exp_point(y)
+        return points
 
     def _exp_points(self, x: ManifoldPoint, v: np.ndarray) -> list[ManifoldPoint]:
         """``exp(x, v_k)`` for every row v_k of v, with the checks :meth:`exp` makes."""
@@ -521,16 +589,7 @@ class Manifold(ABC):
             return []
         try:
             _require_finite(v, "tangent components")
-            c, q = rows()
-            c = _frozen(np.asarray(c, dtype=float))
-            _require_finite(c, "point coordinates from exp")
-            points = [ManifoldPoint(self, ck) for ck in c]
-            if q is not None:
-                for y, qk in zip(points, q.tolist()):
-                    _keep(y, "_self_product", qk)
-            for y in points:
-                self._validate_exp_point(y)
-            return points
+            return self._exp_point_rows(*rows())
         except GeometryError:
             # the rows one by one: the first failing row raises what exp raises for it
             return [self.exp(x, TangentVector(x, _as_coords(r))) for r in v]
@@ -603,32 +662,58 @@ class Manifold(ABC):
         return math.sqrt(max(val, 0.0))
 
     def geodesic(self, x: ManifoldPoint, y: ManifoldPoint, t: float) -> ManifoldPoint:
-        """The point ``gamma(t)`` on the unique geodesic with gamma(0)=x, gamma(1)=y."""
+        """The point ``gamma(t)`` on the unique geodesic with gamma(0)=x, gamma(1)=y.
+
+        The arguments are checked for every t.  An interior point comes
+        from the space's ``_geodesic`` kernel, with the checks :meth:`exp`
+        makes of its result.
+        """
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise GeometryError(f"geodesic parameter t={t} outside [0, 1]")
+        self._own_point(x)
+        _check_same_manifold(x, y)
         if t == 0.0:
             return x
         if t == 1.0:
-            _check_same_manifold(x, y)
             return y
-        return self.exp(x, t * self.log(x, y))
+        return self._exp_point(self._geodesic(x, y, t))
 
     def geodesic_points(
         self, x: ManifoldPoint, y: ManifoldPoint, ts: Sequence[float]
     ) -> list[ManifoldPoint]:
-        """``geodesic(x, y, t)`` for each t, from one ``log`` and one batched ``exp``.
+        """``geodesic(x, y, t)`` for each t, the interior points from one
+        ``_geodesic_rows`` call.
 
         Each point equals the single call bit for bit, t = 0 and t = 1
-        included.
+        included; where a row fails its checks, the single calls run in
+        order, so the first failing one raises what it raises alone.
         """
         ts = [float(t) for t in ts]
         inside = [t for t in ts if 0.0 < t < 1.0]
-        mids = iter(
-            self._exp_points(x, np.multiply.outer(inside, self.log(x, y).components))
-            if inside else ()
-        )
-        return [next(mids) if 0.0 < t < 1.0 else self.geodesic(x, y, t) for t in ts]
+        mids: list[ManifoldPoint] = []
+        if inside:
+            self._own_point(x)
+            _check_same_manifold(x, y)
+            try:
+                mids = self._exp_point_rows(*self._geodesic_rows(x, y, np.array(inside)))
+            except GeometryError:
+                mids = [self.geodesic(x, y, t) for t in inside]
+        rest = iter(mids)
+        return [next(rest) if 0.0 < t < 1.0 else self.geodesic(x, y, t) for t in ts]
+
+    def _geodesic(self, x: ManifoldPoint, y: ManifoldPoint, t: float) -> np.ndarray:
+        """Coordinates of the point at 0 < t < 1 on the geodesic from x to y,
+        both on this space: ``exp(x, t * log(x, y))``, unless the space has
+        a closed form."""
+        return self._exp(x, t * self.log(x, y).components)
+
+    def _geodesic_rows(
+        self, x: ManifoldPoint, y: ManifoldPoint, ts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``_geodesic`` at every t of ts, one row each and bit for bit, and
+        the self-products of the rows where the space caches them (else None)."""
+        return self._exp_rows(x, np.multiply.outer(ts, self.log(x, y).components))
 
     # -- tangent frames and sampling ---------------------------------------
 
@@ -759,6 +844,14 @@ class Euclidean(Manifold):
     def _log(self, x: ManifoldPoint, y: ManifoldPoint) -> np.ndarray:
         return _flat_difference(x.coords, y.coords)
 
+    def _geodesic(self, x: ManifoldPoint, y: ManifoldPoint, t: float) -> np.ndarray:
+        return _flat_geodesic(x.coords, y.coords, t)
+
+    def _geodesic_rows(
+        self, x: ManifoldPoint, y: ManifoldPoint, ts: np.ndarray
+    ) -> tuple[np.ndarray, None]:
+        return _flat_geodesic_rows(x.coords, y.coords, ts), None
+
     def _dist(self, x: ManifoldPoint, y: ManifoldPoint) -> float:
         return _euclidean_norm(_flat_difference(x.coords, y.coords))
 
@@ -782,7 +875,9 @@ class Hyperboloid(Manifold):
 
     Float64 coordinates hold points only within radius about 19.5 of
     the base point: ``exp`` beyond it raises :class:`GeometryError`, and
-    distances drift before it (by about 0.4 at radius 19).
+    distances drift before it (by about 0.4 at radius 19).  A geodesic
+    point between endpoints within radius R splits their distance within
+    ``max(16 eps cosh(R)^2, 1e-13)``, the float64 floor of the chart.
     """
 
     dim: int
@@ -1023,6 +1118,25 @@ class Hyperboloid(Manifold):
         if tn2 <= 0.0:
             return np.zeros_like(x)
         return (d / math.sqrt(tn2)) * t
+
+    def _geodesic(self, x: ManifoldPoint, y: ManifoldPoint, t: float) -> np.ndarray:
+        # (sinh((1-t)d) x + sinh(td) y) / sinh(d): no Minkowski form, no
+        # extended precision and no projection, which exp needs only to
+        # resolve the tangency defect of a stored tangent.  That sits at the
+        # float64 floor eps cosh(R)^2 of the chart (Mishne et al., "The
+        # numerical stability of hyperbolic representation learning", ICML
+        # 2023), where exp(x, t log(x, y)) can land far off the geodesic
+        a, b = _hyperbolic_weights(_stable_acosh1p(self._chord_half(x, y)), t)
+        return a * x.coords + b * y.coords
+
+    def _geodesic_rows(
+        self, x: ManifoldPoint, y: ManifoldPoint, ts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # _geodesic's weights, the rows formed by broadcasting: the same bits
+        d = _stable_acosh1p(self._chord_half(x, y))
+        w = np.array([_hyperbolic_weights(d, t) for t in ts.tolist()])
+        c = w[:, :1] * x.coords + w[:, 1:] * y.coords
+        return c, self._minkowski_exact_rows(c, c)
 
     def _build_frame(self, x: ManifoldPoint) -> np.ndarray:
         # the standard frame e_1..e_n at the base point e_0, moved to x by
@@ -1282,6 +1396,21 @@ class Product(Manifold):
             return _flat_exp(x.coords, v), None
         parts = zip(self.factors, self._parts(x), self._slices)
         return np.hstack([f._exp_rows(p, v[:, s])[0] for f, p, s in parts]), None
+
+    def _geodesic(self, x: ManifoldPoint, y: ManifoldPoint, t: float) -> np.ndarray:
+        if self.is_flat:
+            return _flat_geodesic(x.coords, y.coords, t)
+        return np.concatenate(
+            [f._geodesic(p, q, t) for f, p, q in zip(self.factors, self._parts(x), self._parts(y))]
+        )
+
+    def _geodesic_rows(
+        self, x: ManifoldPoint, y: ManifoldPoint, ts: np.ndarray
+    ) -> tuple[np.ndarray, None]:
+        if self.is_flat:
+            return _flat_geodesic_rows(x.coords, y.coords, ts), None
+        parts = zip(self.factors, self._parts(x), self._parts(y))
+        return np.hstack([f._geodesic_rows(p, q, ts)[0] for f, p, q in parts]), None
 
     def _tangent_rows(
         self, x: ManifoldPoint, directions: np.ndarray

@@ -179,6 +179,12 @@ def test_verify_anti_monotone_fixture_fails_suite(capsys):
     assert "[FAIL] fields/monotonicity_spot_checks" in out
 
 
+def test_python_dash_m_hsplit_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "hsplit", "list-problems"], capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert b"euclid_quad" in done.stdout
+
+
 def test_verify_reports_deterministic():
     cmd = [sys.executable, "-m", "hsplit.cli", "verify", "geometry", "--seed", "7"]
     first = subprocess.run(cmd, capture_output=True)
@@ -279,6 +285,24 @@ def test_bench_empty_axis_exit_64(tmp_path, capsys, flag, axis):
                    "--out", str(tmp_path)) == 64
     assert f"config error: {axis} grid is empty" in capsys.readouterr().err
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("flag,values,axis,value", [
+    ("--problems", "euclid_quad,euclid_quad", "problems", "'euclid_quad'"),
+    ("--alpha", "0.5,.5", "alpha", "0.5"),
+    ("--beta", "0.5,0.25,0.50", "beta", "0.5"),
+    ("--lambda", "1,1e0", "lambda", "1.0"),
+    ("--r", "nan,2,nan", "r", "nan"),
+])
+def test_bench_repeated_grid_value_exit_64(tmp_path, capsys, flag, values, axis, value):
+    # a repeated value names one trace stem twice, so the second cell would
+    # overwrite the first's files; it is refused before any output
+    argv = ["bench", "--out", str(tmp_path)]
+    if flag != "--problems":
+        argv += ["--problems", "euclid_quad"]
+    assert run_cli(*argv, flag, values) == 64
+    assert f"config error: {axis} repeats {value}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--max-iter"])

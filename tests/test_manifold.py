@@ -523,6 +523,98 @@ def test_geodesic_parameter_out_of_range(rng):
         geodesic_point(x, y, -0.1)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_geodesic_checks_both_manifolds_at_every_t(t):
+    e, h = Euclidean(2), Hyperboloid(2)
+    p, q = e.point([1.0, 2.0]), h.base_point()
+    with pytest.raises(GeometryError, match="manifold mismatch"):
+        e.geodesic(p, q, t)
+    with pytest.raises(GeometryError, match="passed to hyperboloid"):
+        h.geodesic(p, p, t)
+    with pytest.raises(GeometryError, match="manifold mismatch"):
+        e.geodesic_points(p, q, [t])
+
+
+def _hyperboloid_at(m, radius, angle):
+    # the point at the given radius from the base point, at the given angle
+    # in the plane of the first two spatial axes
+    base = m.base_point()
+    v = np.zeros(m.ambient_dim)
+    v[1:3] = radius * math.cos(angle), radius * math.sin(angle)
+    return m.exp(base, m.tangent(base, v))
+
+
+def _arcosh_dist(m, x, y):
+    # d(x, y) from the chord kernel's cosh(d) - 1, which is exact to
+    # rounding, through log1p: dist's arcosh of 1 + (cosh(d) - 1) loses
+    # eps / d on short sides, which would hide the kernel's own accuracy
+    e = m._chord_half(x, y)
+    return math.log1p(e + math.sqrt(e * (e + 2.0)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("radius", [0.5, 4.0, 8.0, 12.0])
+def test_hyperboloid_geodesic_sits_at_the_chart_floor(dim, radius):
+    # float64 coordinates at radius R hold a point to ~eps cosh(R)^2; the
+    # closed form keeps both arcs within that floor, where exp(x, t log(x, y))
+    # missed by up to 1.26 at radius 12 and raised on some pairs
+    m = Hyperboloid(dim)
+    rng = np.random.default_rng(dim * 100 + int(radius))
+    bound = max(16.0 * 2.220446049250313e-16 * math.cosh(radius) ** 2, 1e-13)
+    base = m.base_point()
+    for _ in range(300):
+        x, y = (m.exp(base, m.random_tangent(rng, base, radius * rng.uniform())) for _ in "xy")
+        t = float(rng.uniform())
+        g = m.geodesic(x, y, t)
+        d = _arcosh_dist(m, x, y)
+        assert abs(_arcosh_dist(m, x, g) - t * d) <= bound
+        assert abs(_arcosh_dist(m, g, y) - (1.0 - t) * d) <= bound
+
+
+def test_hyperboloid_geodesic_radius_12_reproducer():
+    m = Hyperboloid(2)
+    x, y = _hyperboloid_at(m, 12.0, 0.0), _hyperboloid_at(m, 12.0, 2.5)
+    d = m.dist(x, y)
+    assert abs(d - 23.895) < 1e-3
+    g = m.geodesic(x, y, 0.9)
+    floor = 16.0 * 2.220446049250313e-16 * math.cosh(12.0) ** 2  # 2.35e-5
+    # exp(x, 0.9 log(x, y)) landed 2.27 off the geodesic here
+    assert abs(m.dist(x, g) - 0.9 * d) < floor / 10
+    assert abs(m.dist(g, y) - 0.1 * d) < floor / 10
+
+
+@pytest.mark.parametrize("m", [Euclidean(3), Product((Euclidean(1), Euclidean(2)))])
+def test_flat_geodesic_equals_exp_of_log_bit_for_bit(m, rng):
+    for _ in range(50):
+        x, y = random_pair(m, rng, 5.0)
+        t = float(rng.uniform())
+        expected = m.exp(x, t * m.log(x, y)).coords
+        assert _bits(m.geodesic(x, y, t).coords) == _bits(expected)
+    x = m.point(np.full(m.ambient_dim, -0.0))
+    assert _bits(m.geodesic(x, x, 0.5).coords) == _bits(m.exp(x, 0.5 * m.log(x, x)).coords)
+
+
+def test_mixed_product_geodesic_equals_the_factor_geodesics(rng):
+    m = Product((Euclidean(1), Hyperboloid(2)))
+    for _ in range(50):
+        x, y = random_pair(m, rng, 5.0)
+        t = float(rng.uniform())
+        parts = [f.geodesic(p, q, t).coords
+                 for f, p, q in zip(m.factors, m.split_point(x), m.split_point(y))]
+        assert _bits(m.geodesic(x, y, t).coords) == _bits(np.concatenate(parts))
+
+
+def test_flat_geodesic_overflowing_difference_raises_logs_error():
+    m = Euclidean(2)
+    x, y = m.point([-1e308, 0.0]), m.point([1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="non-finite tangent components from log"):
+            m.geodesic(x, y, 0.5)
+        with pytest.raises(GeometryError, match="non-finite tangent components from log"):
+            m.geodesic_points(x, y, [0.25, 0.5])
+
+
 # -- comparison triangles ----------------------------------------------------------
 
 
